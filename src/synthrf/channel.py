@@ -347,11 +347,9 @@ class SpectrumResult:
     power_db: np.ndarray
     peak_freq_hz: float
     peak_power_db: float
-    bandwidth_hz: float | None = None  # metadata only
 
 
-def doppler_spectrum(source: SourceChannel, f_ch: float, nfft: int = 1024,
-                     bandwidth_hz: float | None = None) -> SpectrumResult:
+def doppler_spectrum(source: SourceChannel, f_ch: float, nfft: int = 1024) -> SpectrumResult:
     """Power spectrum of the path-summed coefficient series.
 
     Hann-windowed ``nfft``-point FFT of the first ``nfft`` snapshots, in dB,
@@ -373,8 +371,7 @@ def doppler_spectrum(source: SourceChannel, f_ch: float, nfft: int = 1024,
     peak = int(np.argmax(power_db))
     return SpectrumResult(freqs_hz=freqs, power_db=power_db,
                           peak_freq_hz=float(freqs[peak]),
-                          peak_power_db=float(power_db[peak]),
-                          bandwidth_hz=bandwidth_hz)
+                          peak_power_db=float(power_db[peak]))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -42,6 +43,13 @@ def _require(cfg: dict, key: str, where: str):
     return cfg[key]
 
 
+def _from_config(cls, cfg: dict, **fixed):
+    """cls from fixed and the keys of cfg naming its other fields (int ones via int())."""
+    types = {f.name: f.type for f in dataclasses.fields(cls) if f.name not in fixed}
+    return cls(**{k: int(v) if types[k] == "int" else v
+                  for k, v in cfg.items() if k in types}, **fixed)
+
+
 def _parse_channel_spec(cfg: dict, seed_override: int | None) -> channel.ChannelSpec:
     sources = []
     for i, src in enumerate(_require(cfg, "sources", "channel spec")):
@@ -49,13 +57,10 @@ def _parse_channel_spec(cfg: dict, seed_override: int | None) -> channel.Channel
         paths = []
         for j, p in enumerate(_require(src, "paths", where)):
             k = p.get("rician_k_db")
-            paths.append(channel.PathSpec(
+            paths.append(_from_config(
+                channel.PathSpec, p,
                 initial_delay_s=_require(p, "initial_delay_s", f"{where} path[{j}]"),
-                delay_rate=p.get("delay_rate", 0.0),
-                mean_power_db=p.get("mean_power_db", 0.0),
-                doppler_hz=p.get("doppler_hz", 0.0),
-                rician_k=math.inf if k is None else 10.0 ** (k / 10.0),
-                fading_doppler_hz=p.get("fading_doppler_hz", 0.0)))
+                rician_k=math.inf if k is None else 10.0 ** (k / 10.0)))
         sources.append(channel.SourceSpec(
             source_id=str(_require(src, "id", where)),
             kind=_require(src, "kind", where),
@@ -81,7 +86,7 @@ def cmd_gen_channel(args) -> int:
     return EXIT_OK
 
 
-def _ground_truth(channels: channel.ChannelSet, source_ids, f_ch: float) -> list[dict]:
+def _ground_truth(channels: channel.ChannelSet, source_ids) -> list[dict]:
     d_min = min(p.delays_s[0] for sid in source_ids
                 for p in channels.source(sid).paths)
     truth = []
@@ -90,7 +95,7 @@ def _ground_truth(channels: channel.ChannelSet, source_ids, f_ch: float) -> list
         path0 = src.paths[0]
         # Doppler from the mean phase increment of the first path
         rot = path0.coefficients[1:] * np.conj(path0.coefficients[:-1])
-        doppler = float(np.angle(np.sum(rot)) * f_ch / (2.0 * np.pi))
+        doppler = float(np.angle(np.sum(rot)) * channels.update_rate_hz / (2.0 * np.pi))
         truth.append({"source_id": sid, "los": src.los,
                       "delay_s": float(path0.delays_s[0] - d_min),
                       "doppler_hz": doppler})
@@ -103,46 +108,24 @@ def cmd_synthesize(args) -> int:
     if args.kind == "cdma":
         sources = [(int(s["prn_id"]), str(s["source_id"]))
                    for s in _require(cfg, "sources", "cdma config")]
-        gen = cdma.CdmaGenConfig(
-            f_s_hz=cfg.get("f_s_hz", 38.192e6),
-            f_if_hz=cfg.get("f_if_hz", 9.548e6),
-            r_c_hz=cfg.get("r_c_hz", 1.023e6),
-            t_d_s=cfg.get("t_d_s", 0.020),
+        gen = _from_config(
+            cdma.CdmaGenConfig, cfg, sources=tuple(sources), modulate_data=True,
             duration_s=_require(cfg, "duration_s", "cdma config"),
-            sources=tuple(sources),
-            data_seed=int(cfg.get("data_seed", args.seed or 0)),
-            noise_power_dbw=cfg.get("noise_power_dbw", -math.inf),
-            noise_seed=int(cfg.get("noise_seed", 1)))
+            data_seed=int(cfg.get("data_seed", args.seed or 0)))
         buf = cdma.synthesize(gen, channels)
-        truth = _ground_truth(channels, [sid for _, sid in sources],
-                              channels.update_rate_hz)
+        truth = _ground_truth(channels, [sid for _, sid in sources])
         for entry, (prn_id, _) in zip(truth, sources):
             entry["prn_id"] = prn_id
         meta = {"kind": "cdma", "f_if_hz": gen.f_if_hz, "r_c_hz": gen.r_c_hz,
                 "t_d_s": gen.t_d_s, "data_seed": gen.data_seed,
                 "noise_seed": gen.noise_seed, "ground_truth": truth}
     elif args.kind == "prs":
-        carrier_cfg = cfg.get("carrier", {})
-        carrier = prs.CarrierConfig(
-            n_cell_id=int(carrier_cfg.get("n_cell_id", 0)),
-            scs_hz=carrier_cfg.get("scs_hz", 15e3),
-            n_rb=int(carrier_cfg.get("n_rb", 52)),
-            n_fft=int(carrier_cfg.get("n_fft", 1024)))
+        carrier = _from_config(prs.CarrierConfig, cfg.get("carrier", {}))
         resources = {}
         for i, src in enumerate(_require(cfg, "sources", "prs config")):
             sid = str(_require(src, "source_id", f"prs config source[{i}]"))
-            resources[sid] = prs.PrsResourceConfig(
-                resource_set_period_slots=int(src.get("resource_set_period_slots", 10)),
-                resource_offset_slots=int(src.get("resource_offset_slots", 0)),
-                resource_repetition=int(src.get("resource_repetition", 1)),
-                resource_time_gap_slots=int(src.get("resource_time_gap_slots", 1)),
-                muting_pattern=src.get("muting_pattern"),
-                comb_size=int(src.get("comb_size", 2)),
-                comb_offset=int(src.get("comb_offset", 0)),
-                num_symbols=int(src.get("num_symbols", 2)),
-                symbol_start=int(src.get("symbol_start", 0)),
-                n_prs_id=int(src.get("n_prs_id", 0)),
-                n_rb_prs=int(src.get("n_rb_prs", carrier.n_rb)))
+            resources[sid] = _from_config(prs.PrsResourceConfig, src,
+                                          n_rb_prs=int(src.get("n_rb_prs", carrier.n_rb)))
         seed = int(cfg.get("seed", args.seed or 0))
         buf = prs.synthesize_gnb(
             carrier, resources, channels,
@@ -150,7 +133,7 @@ def cmd_synthesize(args) -> int:
             with_pdsch=bool(cfg.get("with_pdsch", True)),
             noise_power_dbw=cfg.get("noise_power_dbw", -math.inf),
             noise_seed=int(cfg.get("noise_seed", 1)))
-        truth = _ground_truth(channels, list(resources), channels.update_rate_hz)
+        truth = _ground_truth(channels, list(resources))
         meta = {"kind": "prs", "seed": seed,
                 "numerology": {"scs_hz": carrier.scs_hz, "n_fft": carrier.n_fft,
                                "n_rb": carrier.n_rb,

@@ -68,7 +68,7 @@ def _rational_ratio(source_hz: float, target_hz: float) -> tuple[int, int]:
     return frac.numerator, frac.denominator
 
 
-def design_antialias_fir(source_hz: float, target_hz: float, up: int) -> np.ndarray:
+def design_antialias_fir(source_hz: float, target_hz: float, up: float) -> np.ndarray:
     """Kaiser-windowed lowpass for polyphase resampling, at the upsampled rate."""
     min_rate = min(source_hz, target_hz)
     up_nyquist = up * source_hz / 2.0

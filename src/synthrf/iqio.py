@@ -1,8 +1,8 @@
 """I/Q recording files with a text metadata sidecar.
 
-Samples are packed little-endian interleaved (I, Q), either float32 or
-int16 with an explicit full-scale value recorded in the sidecar.  The
-sidecar is a JSON file with the same basename as the recording.
+Samples are packed little-endian interleaved (I, Q): float32, or int16
+against a full scale (default: the peak |I| or |Q| rounded up to a power of
+two) recorded in the JSON sidecar, which shares the recording's basename.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ def sidecar_path(iq_path) -> Path:
 
 
 def write_iq(path, buf: SignalBuffer, metadata: dict | None = None,
-             fmt: str = "f32", i16_full_scale: float = DEFAULT_I16_FULL_SCALE) -> Path:
+             fmt: str = "f32", i16_full_scale: float | None = None) -> Path:
     """Write samples and the sidecar; returns the sidecar path."""
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}")
@@ -34,6 +34,9 @@ def write_iq(path, buf: SignalBuffer, metadata: dict | None = None,
     if fmt == "f32":
         raw = interleaved.astype("<f4")
     else:
+        if i16_full_scale is None:
+            peak = float(np.max(np.abs(interleaved)))
+            i16_full_scale = float(2.0 ** np.ceil(np.log2(peak))) if peak > 0 else 1.0
         scaled = np.clip(interleaved / i16_full_scale, -1.0, 1.0)
         raw = np.round(scaled * 32767.0).astype("<i2")
     path.write_bytes(raw.tobytes())

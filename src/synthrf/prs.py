@@ -18,9 +18,10 @@ from .dsp import SignalBuffer, add_awgn
 LABEL_EMPTY = 0
 LABEL_PRS = 1
 LABEL_PDSCH = 2
-LABEL_DMRS = 3
 
 _PRBS_ADVANCE = 1600
+# normal cyclic prefix, the only one supported: 14 OFDM symbols per slot
+SYMBOLS_PER_SLOT = 14
 
 # Per-symbol subcarrier offsets of the PRS comb, indexed by symbol within the
 # resource (TS 38.211 table 7.4.1.7.2-1).
@@ -38,16 +39,10 @@ class CarrierConfig:
     scs_hz: float = 15e3
     n_rb: int = 52
     n_fft: int = 1024
-    cyclic_prefix: str = "normal"
-    symbols_per_slot: int = 14
-    slots_per_frame: int = 10
-    frame_duration_s: float = 0.010
 
     def __post_init__(self):
         if not 0 <= self.n_cell_id <= 1007:
             raise ValueError("n_cell_id must be in 0..1007")
-        if self.cyclic_prefix != "normal":
-            raise ValueError("only the normal cyclic prefix is supported")
         if self.n_fft < 12 * self.n_rb:
             raise ValueError("n_fft must be at least 12*n_rb")
 
@@ -64,12 +59,12 @@ class CarrierConfig:
         # normal CP at 15 kHz: symbols 0 and 7 of a slot carry the long prefix
         base = 144 * self.n_fft // 2048
         long = 160 * self.n_fft // 2048
-        return long if symbol in (0, self.symbols_per_slot // 2) else base
+        return long if symbol in (0, SYMBOLS_PER_SLOT // 2) else base
 
     @property
     def samples_per_slot(self) -> int:
         return sum(self.n_fft + self.cp_length(l)
-                   for l in range(self.symbols_per_slot))
+                   for l in range(SYMBOLS_PER_SLOT))
 
     @property
     def slot_duration_s(self) -> float:
@@ -97,7 +92,7 @@ class PrsResourceConfig:
             raise ValueError("comb_size must be one of 2, 4, 6, 12")
         if not 0 <= self.comb_offset < self.comb_size:
             raise ValueError("comb_offset must be less than comb_size")
-        if self.symbol_start + self.num_symbols > 14:
+        if self.symbol_start + self.num_symbols > SYMBOLS_PER_SLOT:
             raise ValueError("symbol_start + num_symbols must not exceed 14")
         if self.num_symbols < 1:
             raise ValueError("num_symbols must be at least 1")
@@ -118,7 +113,7 @@ class ResourceGrid:
 
     @classmethod
     def empty(cls, carrier: CarrierConfig) -> "ResourceGrid":
-        shape = (carrier.n_subcarriers, carrier.symbols_per_slot)
+        shape = (carrier.n_subcarriers, SYMBOLS_PER_SLOT)
         return cls(cells=np.zeros(shape, dtype=np.complex128),
                    labels=np.zeros(shape, dtype=np.uint8))
 
@@ -192,7 +187,7 @@ def generate_prs_symbols(carrier: CarrierConfig, prs: PrsResourceConfig,
     offsets = _COMB_OFFSETS[prs.comb_size]
     for j in range(prs.num_symbols):
         l = prs.symbol_start + j
-        c_init = _prs_c_init(prs.n_prs_id, slot_index, l, carrier.symbols_per_slot)
+        c_init = _prs_c_init(prs.n_prs_id, slot_index, l, SYMBOLS_PER_SLOT)
         symbols = _qpsk_from_prbs(c_init, per_symbol)
         k = (np.arange(per_symbol) * prs.comb_size
              + (prs.comb_offset + offsets[j % len(offsets)]) % prs.comb_size)
@@ -223,9 +218,9 @@ def ofdm_modulate(grids, carrier: CarrierConfig) -> SignalBuffer:
     out = np.empty(carrier.samples_per_slot * len(grids), dtype=np.complex128)
     ptr = 0
     for grid in grids:
-        if grid.cells.shape != (n_sc, carrier.symbols_per_slot):
+        if grid.cells.shape != (n_sc, SYMBOLS_PER_SLOT):
             raise ValueError("grid shape does not match the carrier config")
-        for l in range(carrier.symbols_per_slot):
+        for l in range(SYMBOLS_PER_SLOT):
             frame = np.zeros(n_fft, dtype=np.complex128)
             frame[bins] = grid.cells[:, l]
             body = np.fft.ifft(frame) * n_fft
@@ -242,7 +237,7 @@ def cp_alignment_metric(samples: np.ndarray, carrier: CarrierConfig) -> float:
     ptr = 0
     corrs = []
     while True:
-        for l in range(carrier.symbols_per_slot):
+        for l in range(SYMBOLS_PER_SLOT):
             cp = carrier.cp_length(l)
             if ptr + cp + n_fft > len(samples):
                 return float(np.mean(corrs)) if corrs else 0.0
@@ -270,7 +265,7 @@ def ofdm_demodulate(buf: SignalBuffer, carrier: CarrierConfig) -> list[ResourceG
     ptr = 0
     for _ in range(len(buf) // sps):
         grid = ResourceGrid.empty(carrier)
-        for l in range(carrier.symbols_per_slot):
+        for l in range(SYMBOLS_PER_SLOT):
             cp = carrier.cp_length(l)
             body = buf.samples[ptr + cp:ptr + cp + n_fft]
             frame = np.fft.fft(body) / n_fft

@@ -15,10 +15,11 @@ def cn0_to_noise_dbw(sample_rate_hz: float, cn0_dbhz: float) -> float:
 
 
 def los_source(source_id, delay_s, doppler_hz, kind="satellite",
-               mean_power_db=0.0):
+               mean_power_db=0.0, delay_rate=0.0):
     """Single unfaded LOS path: |H| = 1, pure Doppler phase rotation."""
     return SourceSpec(source_id=source_id, kind=kind, los=True,
                       paths=(PathSpec(initial_delay_s=delay_s,
+                                      delay_rate=delay_rate,
                                       mean_power_db=mean_power_db,
                                       doppler_hz=doppler_hz),))
 

@@ -1,15 +1,17 @@
-"""CDMA-BPSK synthesis: config validation, clean-signal structure, channel
-application, and determinism."""
+"""CDMA-BPSK synthesis: config validation, clean-signal structure, the code
+NCO against a resampled reference, time-varying delay, channel application,
+and determinism."""
 
 import math
 
 import numpy as np
 import pytest
 
-from synthrf import cdma, prn
+from synthrf import cdma, dsp, prn, receiver
 from synthrf.cdma import CdmaGenConfig, HAPS_DEFAULTS, SATELLITE_DEFAULTS
+from synthrf.channel import ChannelSpec, generate_synthetic_channel
 
-from conftest import make_los_channel
+from conftest import los_source, make_los_channel
 
 
 def sat_config(**kw):
@@ -138,3 +140,41 @@ class TestSynthesize:
         buf = cdma.synthesize(cfg, channels)
         power = np.mean(np.abs(buf.samples) ** 2)
         assert power == pytest.approx(1.0, rel=0.05)
+
+
+class TestCodeNco:
+    def test_matches_resampled_rect_chips_at_zero_delay(self):
+        # reference: rect chips at 5 samples per chip, chip m centred on code
+        # phase m, polyphase-resampled to f_s and mixed to IF
+        cfg = sat_config(duration_s=0.005, modulate_data=False)
+        code = prn.generate_ca_code(1)
+        buf = cdma.generate_clean_signal(code, cfg)
+        n_chips = math.ceil(cfg.duration_s * cfg.r_c_hz)
+        stream = np.resize(code.chips, n_chips + 1)[(np.arange(5 * n_chips) + 2) // 5]
+        ref = dsp.resample(dsp.SignalBuffer(stream, 5 * cfg.r_c_hz), cfg.f_s_hz)
+        ref = dsp.mix_carrier(dsp.SignalBuffer(ref.samples[:cfg.n_samples], cfg.f_s_hz),
+                              cfg.f_if_hz)
+        edge = round(50e-6 * cfg.f_s_hz)
+        a, b = buf.samples[edge:-edge], ref.samples[edge:-edge]
+        rho = abs(np.vdot(b, a)) / np.sqrt(np.vdot(a, a).real * np.vdot(b, b).real)
+        assert rho >= 0.999
+
+    def test_time_varying_delay_is_applied(self):
+        rate = 1e-5  # s/s: 200 ns, about 7.6 samples, over the 20 ms
+        spec = ChannelSpec(sources=(los_source("s1", 1e-5, 0.0, delay_rate=rate),),
+                           update_rate_hz=40e3, duration_s=0.02, seed=0)
+        cfg = sat_config(duration_s=0.02, modulate_data=False)
+        buf = cdma.synthesize(cfg, generate_synthetic_channel(spec))
+        n = round(cfg.f_s_hz * 1e-3)
+        t = np.arange(len(buf)) / cfg.f_s_hz
+        baseband = buf.samples * np.exp(-2j * np.pi * cfg.f_if_hz * t)
+        replica = receiver.sample_code_replica(prn.generate_ca_code(1), cfg.f_s_hz, n)
+        lags = []
+        for w in range(20):  # one code period per window: the peak lag is the delay
+            corr = np.abs(dsp.fft_correlate(baseband[w * n:(w + 1) * n], replica))
+            k = int(np.argmax(corr))
+            y0, y1, y2 = corr[k - 1], corr[k], corr[(k + 1) % n]
+            lags.append(k + 0.5 * (y0 - y2) / (y0 - 2.0 * y1 + y2))
+        slope = np.polyfit((np.arange(20) + 0.5) * 1e-3,
+                           np.array(lags) / cfg.f_s_hz, 1)[0]
+        assert slope == pytest.approx(rate, rel=0.02)

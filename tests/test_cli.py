@@ -7,8 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from synthrf import iqio
-from synthrf.cli import main
+from synthrf import cdma, iqio, prs
+from synthrf.cli import _from_config, main
 
 F_S = 38.192e6
 
@@ -167,6 +167,18 @@ class TestAcquireTrack:
     def test_bad_prn_list_is_usage_error(self, workdir, tmp_path):
         assert main(["acquire", "--iq", str(workdir / "cdma.iq"),
                      "--prn", "5,banana", "--out", str(tmp_path / "x.csv")]) == 2
+
+
+class TestFromConfig:
+    def test_int_fields_are_coerced(self):
+        carrier = _from_config(prs.CarrierConfig, {"n_rb": 24.0, "n_fft": "512"})
+        assert (carrier.n_rb, carrier.n_fft) == (24, 512)
+        assert type(carrier.n_rb) is int and type(carrier.n_fft) is int
+
+    def test_fixed_values_override_the_config(self):
+        gen = _from_config(cdma.CdmaGenConfig, {"modulate_data": False, "r_c_hz": 1.023e6},
+                           modulate_data=True)
+        assert gen.modulate_data is True and gen.r_c_hz == 1.023e6
 
 
 class TestUsage:

@@ -1,10 +1,16 @@
 """I/Q recording round trips and sidecar metadata."""
 
+import math
+
 import numpy as np
 import pytest
 
 from synthrf import iqio
+from synthrf.channel import ChannelSpec, generate_synthetic_channel
 from synthrf.dsp import SignalBuffer
+from synthrf.prs import CarrierConfig, PrsResourceConfig, synthesize_gnb
+
+from conftest import los_source
 
 
 @pytest.fixture
@@ -53,3 +59,20 @@ def test_missing_sidecar_raises(tmp_path, buf):
 def test_unknown_format_rejected(tmp_path, buf):
     with pytest.raises(ValueError):
         iqio.write_iq(tmp_path / "rec.iq", buf, fmt="f64")
+
+
+def test_i16_prs_round_trip_does_not_clip(tmp_path):
+    carrier = CarrierConfig(n_cell_id=1)
+    spec = ChannelSpec(sources=(los_source("g1", 3e-6, 200.0, kind="gnb"),),
+                       update_rate_hz=40e3, duration_s=0.002, seed=0)
+    buf = synthesize_gnb(carrier, {"g1": PrsResourceConfig(n_prs_id=10)},
+                         generate_synthetic_channel(spec), duration_s=0.002, seed=1)
+    path = tmp_path / "prs.iq"
+    iqio.write_iq(path, buf, fmt="i16")
+    back, meta = iqio.read_iq(path)
+    scale = meta["full_scale"]
+    peak = max(np.max(np.abs(buf.samples.real)), np.max(np.abs(buf.samples.imag)))
+    assert peak > iqio.DEFAULT_I16_FULL_SCALE  # a fixed full scale would clip
+    # the peak rounded up to a power of two: no sample exceeds full scale
+    assert peak <= scale < 2 * peak and math.log2(scale).is_integer()
+    np.testing.assert_allclose(back.samples, buf.samples, atol=scale / 32767)

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from synthrf import cdma, prn, receiver
+from synthrf.channel import ChannelSpec, generate_synthetic_channel
 from synthrf.dsp import SignalBuffer, add_awgn
 from synthrf.receiver import (AcquisitionConfig, AcquisitionResult,
                               TrackingConfig, acquire, dll_discriminator,
                               fine_frequency, pll_discriminator,
                               sample_code_replica, samples_per_chip, track)
 
-from conftest import cn0_to_noise_dbw, make_los_channel, wrapped_error
+from conftest import cn0_to_noise_dbw, los_source, make_los_channel, wrapped_error
 
 F_S = 38.192e6
 
@@ -186,3 +187,19 @@ class TestTrack:
                       TrackingConfig(lock_loss_epochs=20))
         assert trace.loss_of_lock
         assert len(trace) < 60
+
+    def test_carrier_aided_code_follows_code_doppler(self):
+        # the delay drifts as the 4 kHz Doppler says it must, about half a
+        # chip in 200 ms; carrier aiding steers the code NCO along with it
+        f_d, rate = 4000.0, -4000.0 / 1575.42e6
+        spec = ChannelSpec(sources=(los_source("s1", 1e-5, f_d, delay_rate=rate),),
+                           update_rate_hz=40e3, duration_s=0.2, seed=0)
+        cfg = cdma.CdmaGenConfig(duration_s=0.2, sources=((1, "s1"),))
+        buf = cdma.synthesize(cfg, generate_synthetic_channel(spec))
+        code = prn.generate_ca_code(1)
+        res = acquire(buf, code)
+        trace = track(buf, code, res, TrackingConfig(carrier_aiding=True))
+        assert len(trace) >= 190 and not trace.loss_of_lock
+        truth = rate * trace.epoch_s * F_S  # D(t) - D_min, in samples
+        err = wrapped_error(trace.code_delay_samples, truth, round(F_S * 1e-3))
+        assert np.max(np.abs(err)) / (F_S / 1.023e6) < 0.1
