@@ -183,6 +183,8 @@ def cmd_acquire(args) -> int:
     acq_cfg = receiver.AcquisitionConfig(snr_threshold_db=args.snr_threshold)
     truth = _truth_by_prn(meta)
     r_c = float(meta.get("r_c_hz", 1.023e6))
+    # one code period in samples: only the code phase within it is observable
+    period = prn.CODE_LENGTH / r_c * buf.sample_rate_hz
     rows = []
     for prn_id in _parse_prn_list(args.prn):
         code = prn.generate_ca_code(prn_id, chipping_rate_hz=r_c)
@@ -193,9 +195,8 @@ def cmd_acquire(args) -> int:
                "fine_freq_hz": res.fine_freq_hz, "snr_db": res.snr_db}
         if prn_id in truth:
             t = truth[prn_id]
-            row["code_phase_error_samples"] = (
-                res.code_phase_samples
-                - round(t["delay_s"] * buf.sample_rate_hz))
+            err = res.code_phase_samples - round(t["delay_s"] * buf.sample_rate_hz)
+            row["code_phase_error_samples"] = round(err - period * round(err / period))
             row["doppler_error_hz"] = res.fine_freq_hz - t["doppler_hz"]
         rows.append(row)
         state = "acquired" if res.acquired else "rejected"

@@ -65,14 +65,17 @@ def read_iq(path) -> tuple[SignalBuffer, dict]:
         raise FileNotFoundError(f"missing sidecar {side}")
     meta = json.loads(side.read_text())
     fmt = meta.get("format", "f32")
-    raw = path.read_bytes()
-    if fmt == "f32":
-        interleaved = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-    elif fmt == "i16":
-        scale = float(meta.get("full_scale", DEFAULT_I16_FULL_SCALE))
-        interleaved = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32767.0 * scale
-    else:
+    dtype = {"f32": "<f4", "i16": "<i2"}.get(fmt)
+    if dtype is None:
         raise ValueError(f"unknown format {fmt!r} in sidecar")
+    raw = path.read_bytes()
+    size = 2 * int(meta["n_samples"]) * np.dtype(dtype).itemsize
+    if len(raw) != size:
+        raise ValueError(f"{path}: {len(raw)} bytes, n_samples {meta['n_samples']} needs {size}")
+    interleaved = np.frombuffer(raw, dtype=dtype).astype(np.float64)
+    if fmt == "i16":
+        scale = float(meta.get("full_scale", DEFAULT_I16_FULL_SCALE))
+        interleaved = interleaved / 32767.0 * scale
     samples = interleaved[0::2] + 1j * interleaved[1::2]
     buf = SignalBuffer(samples, float(meta["sample_rate_hz"]),
                        if_offset_hz=float(meta.get("if_offset_hz", 0.0)),

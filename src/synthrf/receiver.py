@@ -1,5 +1,6 @@
-"""Software receiver: parallel code phase search acquisition, fine frequency
-estimation, and conventional DLL/PLL tracking."""
+"""Software receiver: parallel code phase search acquisition on shared
+wiped-off spectra, fine frequency estimation on the DFT bins of its search
+band only, and conventional DLL/PLL tracking."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import next_fast_len
 
-from .dsp import SignalBuffer, fft_correlate
+from .dsp import SignalBuffer
 from .prn import CODE_LENGTH, SpreadingCode
 
 
@@ -98,9 +99,10 @@ def acquire(buf: SignalBuffer, code: SpreadingCode,
     """Parallel code phase search over the Doppler grid with the SNR gate.
 
     The search surface holds correlation power per (Doppler bin, code lag).
-    The SNR gate is the ratio of the squared surface peak to the mean of the
-    squared surface values along the peak's frequency row, excluding lags
-    within one chip of the peak.
+    Doppler bins k whole FFT bins (f_s / n) apart share one wiped-off spectrum,
+    as fft(x e^{-j2πkm/n}) = roll(fft(x), -k). The SNR gate is the ratio of
+    the squared surface peak to the mean of the squared surface values along
+    the peak's frequency row, excluding lags within one chip of the peak.
     """
     f_s = buf.sample_rate_hz
     n = round(f_s * cfg.coherent_ms * 1e-3)
@@ -111,12 +113,17 @@ def acquire(buf: SignalBuffer, code: SpreadingCode,
     n_bins = int(round((cfg.freq_search_max_hz - cfg.freq_search_min_hz)
                        / cfg.freq_step_hz)) + 1
     freqs = cfg.freq_search_min_hz + cfg.freq_step_hz * np.arange(n_bins)
+    residues = np.round(((freqs - freqs[0]) * n / f_s) % 1.0, 9) % 1.0
     t = np.arange(n) / f_s
     surface = np.empty((n_bins, n))
-    for i, f in enumerate(freqs):
-        wiped = seg * np.exp(-2j * np.pi * (buf.if_offset_hz + f) * t)
-        corr = np.fft.ifft(np.fft.fft(wiped) * replica_fft)
-        surface[i] = np.abs(corr) ** 2
+    for r in np.unique(residues):
+        members = np.flatnonzero(residues == r)
+        f_g = freqs[members[0]]
+        spectrum = np.fft.fft(seg * np.exp(-2j * np.pi * (buf.if_offset_hz + f_g) * t))
+        for i in members:
+            shift = round((freqs[i] - f_g) * n / f_s)
+            corr = np.fft.ifft(np.roll(spectrum, -shift) * replica_fft)
+            surface[i] = np.abs(corr) ** 2
     bin_idx, tau = np.unravel_index(np.argmax(surface), surface.shape)
     n_s = samples_per_chip(code, f_s)
     lags = np.arange(n)
@@ -138,7 +145,12 @@ def acquire(buf: SignalBuffer, code: SpreadingCode,
 def fine_frequency(buf: SignalBuffer, code: SpreadingCode, tau_samples: int,
                    coarse_hz: float,
                    cfg: AcquisitionConfig = AcquisitionConfig()) -> float:
-    """Refine the Doppler shift by transforming the code-wiped carrier."""
+    """Refine the Doppler shift from the spectrum of the code-wiped carrier.
+
+    Only the bins of the zero-padded next_fast_len(4 n)-point DFT within
+    ±freq_step_hz of the coarse frequency are evaluated, as a two-stage DFT
+    over t = P b + r (P ≈ √n): a matrix product over r, then a sum over b.
+    """
     f_s = buf.sample_rate_hz
     n = round(f_s * cfg.fine_freq_ms * 1e-3)
     if len(buf) < n:
@@ -147,13 +159,17 @@ def fine_frequency(buf: SignalBuffer, code: SpreadingCode, tau_samples: int,
         raise ValueError("tau_samples out of range")
     wiped = buf.samples[:n] * sample_code_replica(code, f_s, n, tau_samples)
     nfft = next_fast_len(4 * n)
-    spectrum = np.abs(np.fft.fft(wiped, nfft))
-    freqs = np.fft.fftfreq(nfft, 1.0 / f_s)
+    spacing = 1.0 / (nfft * (1.0 / f_s))  # as np.fft.fftfreq computes it
     center = buf.if_offset_hz + coarse_hz
-    band = np.abs(freqs - center) <= cfg.freq_step_hz
-    idx = np.flatnonzero(band)
-    peak = idx[np.argmax(spectrum[idx])]
-    return float(freqs[peak] - buf.if_offset_hz)
+    k = np.arange(max(math.floor((center - cfg.freq_step_hz) / spacing) - 1, -(nfft // 2)),
+                  min(math.ceil((center + cfg.freq_step_hz) / spacing) + 1, (nfft - 1) // 2) + 1)
+    k = k[np.abs(k * spacing - center) <= cfg.freq_step_hz]
+    p = math.isqrt(n)
+    blocks = np.pad(wiped, (0, -n % p)).reshape(-1, p)
+    inner = blocks @ np.exp(-2j * np.pi * (np.outer(np.arange(p), k) % nfft) / nfft)
+    outer = np.exp(-2j * np.pi * (np.outer(p * np.arange(len(blocks)), k) % nfft) / nfft)
+    spectrum = np.abs(np.sum(inner * outer, axis=0))
+    return float(k[np.argmax(spectrum)] * spacing - buf.if_offset_hz)
 
 
 def _loop_gains(bw_hz: float, damping: float, gain: float) -> tuple[float, float]:

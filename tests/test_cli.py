@@ -9,6 +9,7 @@ import pytest
 
 from synthrf import cdma, iqio, prs
 from synthrf.cli import _from_config, main
+from synthrf.dsp import SignalBuffer
 
 F_S = 38.192e6
 
@@ -163,6 +164,37 @@ class TestAcquireTrack:
         assert len(rows) >= 18  # 20 ms of 1 ms epochs, minus loop startup
         last = rows[-1]
         assert abs(float(last["doppler_error_hz"])) <= 50.0
+
+    @pytest.mark.parametrize("r_c_hz", [1.023e6, 10.23e6])
+    def test_code_phase_error_wraps_to_one_code_period(self, tmp_path, r_c_hz):
+        # the second source lags the anchor by 1.5 ms: 1.5 code periods at
+        # 1.023 MHz, 15 at 10.23 MHz
+        spec = dict(CHANNEL_SPEC, duration_s=0.012)
+        spec["sources"] = [dict(CHANNEL_SPEC["sources"][0]),
+                           dict(CHANNEL_SPEC["sources"][1],
+                                paths=[{"initial_delay_s": 1.51e-3, "doppler_hz": -1500.0}])]
+        cfg = dict(CDMA_CONFIG, duration_s=0.012, r_c_hz=r_c_hz)
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["gen-channel", "--spec", str(tmp_path / "spec.json"),
+                     "--out", str(tmp_path / "ch.bin")]) == 0
+        assert main(["synthesize", "cdma", "--config", str(tmp_path / "cfg.json"),
+                     "--channel", str(tmp_path / "ch.bin"),
+                     "--out", str(tmp_path / "rec.iq")]) == 0
+        assert main(["acquire", "--iq", str(tmp_path / "rec.iq"), "--prn", "5,9",
+                     "--out", str(tmp_path / "acq.csv")]) == 0
+        rows = {int(r["prn_id"]): r for r in read_rows(tmp_path / "acq.csv")}
+        assert rows[9]["acquired"] == "1"
+        assert abs(int(rows[5]["code_phase_error_samples"])) <= 2
+        assert abs(int(rows[9]["code_phase_error_samples"])) <= 2
+
+    def test_truncated_recording_is_runtime_error(self, tmp_path, capsys):
+        path = tmp_path / "rec.iq"
+        iqio.write_iq(path, SignalBuffer(np.ones(10, dtype=complex), F_S))
+        path.write_bytes(path.read_bytes()[:-8])
+        assert main(["acquire", "--iq", str(path), "--prn", "5",
+                     "--out", str(tmp_path / "x.csv")]) == 1
+        assert "n_samples 10 needs 80" in capsys.readouterr().err
 
     def test_bad_prn_list_is_usage_error(self, workdir, tmp_path):
         assert main(["acquire", "--iq", str(workdir / "cdma.iq"),

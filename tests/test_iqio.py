@@ -76,3 +76,15 @@ def test_i16_prs_round_trip_does_not_clip(tmp_path):
     # the peak rounded up to a power of two: no sample exceeds full scale
     assert peak <= scale < 2 * peak and math.log2(scale).is_integer()
     np.testing.assert_allclose(back.samples, buf.samples, atol=scale / 32767)
+
+
+@pytest.mark.parametrize("fmt,sample_bytes", [("f32", 8), ("i16", 4)])
+@pytest.mark.parametrize("cut", [1.0, 0.5])  # whole or half a sample missing
+def test_truncated_recording_rejected(tmp_path, fmt, sample_bytes, cut):
+    path = tmp_path / "rec.iq"
+    iqio.write_iq(path, SignalBuffer(np.arange(10) * (1.0 + 1.0j), 1e6), fmt=fmt)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:len(raw) - round(cut * sample_bytes)])
+    with pytest.raises(ValueError, match=f"n_samples 10 needs {10 * sample_bytes}") as exc:
+        iqio.read_iq(path)
+    assert str(path) in str(exc.value)

@@ -1,10 +1,13 @@
 """Receiver: replica sampling, acquisition closed loop against the
 synthesizer, the SNR gate, fine frequency, discriminators, and tracking."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.fft import next_fast_len
 
 from synthrf import cdma, prn, receiver
 from synthrf.channel import ChannelSpec, generate_synthetic_channel
@@ -113,6 +116,115 @@ class TestFineFrequency:
     def test_rejects_bad_tau(self, clean_scene):
         with pytest.raises(ValueError):
             fine_frequency(clean_scene, prn.generate_ca_code(7), -1, 0.0)
+
+
+def per_bin_surface(buf, code, cfg):
+    """Reference search: one wipe-off and one forward FFT per Doppler bin."""
+    f_s = buf.sample_rate_hz
+    n = round(f_s * cfg.coherent_ms * 1e-3)
+    seg = buf.samples[:n]
+    replica_fft = np.conj(np.fft.fft(sample_code_replica(code, f_s, n)))
+    n_bins = int(round((cfg.freq_search_max_hz - cfg.freq_search_min_hz)
+                       / cfg.freq_step_hz)) + 1
+    freqs = cfg.freq_search_min_hz + cfg.freq_step_hz * np.arange(n_bins)
+    t = np.arange(n) / f_s
+    surface = np.empty((n_bins, n))
+    for i, f in enumerate(freqs):
+        wiped = seg * np.exp(-2j * np.pi * (buf.if_offset_hz + f) * t)
+        surface[i] = np.abs(np.fft.ifft(np.fft.fft(wiped) * replica_fft)) ** 2
+    return surface
+
+
+def full_fft_fine_frequency(buf, code, tau_samples, coarse_hz, cfg=AcquisitionConfig()):
+    """Reference fine frequency: argmax over the band of the full zero-padded FFT."""
+    f_s = buf.sample_rate_hz
+    n = round(f_s * cfg.fine_freq_ms * 1e-3)
+    wiped = buf.samples[:n] * sample_code_replica(code, f_s, n, tau_samples)
+    nfft = next_fast_len(4 * n)
+    spectrum = np.abs(np.fft.fft(wiped, nfft))
+    freqs = np.fft.fftfreq(nfft, 1.0 / f_s)
+    idx = np.flatnonzero(np.abs(freqs - (buf.if_offset_hz + coarse_hz)) <= cfg.freq_step_hz)
+    return float(freqs[idx[np.argmax(spectrum[idx])]] - buf.if_offset_hz)
+
+
+def tone_buffer(f_s, if_offset_hz, doppler_hz, tau_samples, duration_s):
+    """PRN 7 at tau_samples on a carrier at if_offset_hz + doppler_hz, plus noise."""
+    n = round(f_s * duration_s)
+    code = prn.generate_ca_code(7)
+    rng = np.random.default_rng(3)
+    x = (sample_code_replica(code, f_s, n, tau_samples)
+         * np.exp(2j * np.pi * (if_offset_hz + doppler_hz) * np.arange(n) / f_s)
+         + 0.5 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+    return SignalBuffer(x, f_s, if_offset_hz=if_offset_hz), code
+
+
+class TestSharedSpectrumSearch:
+    """The search shares one forward FFT among bins whole FFT bins apart and
+    must give the surface of the per-bin search."""
+
+    # (config, groups): 500 Hz steps on 1 kHz FFT bins form 2 groups, on
+    # 500 Hz bins 1; 300 Hz steps form 10
+    GRIDS = {"500Hz-1ms": (AcquisitionConfig(), 2),
+             "500Hz-2ms": (AcquisitionConfig(coherent_ms=2.0), 1),
+             "300Hz-1ms": (AcquisitionConfig(freq_step_hz=300.0), 10)}
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_surface_matches_the_per_bin_search(self, clean_scene, grid):
+        cfg = self.GRIDS[grid][0]
+        code = prn.generate_ca_code(7)
+        res = acquire(clean_scene, code, dataclasses.replace(cfg, keep_surface=True))
+        ref = per_bin_surface(clean_scene, code, cfg)
+        assert np.max(np.abs(res.correlation_surface - ref)) <= 1e-9 * np.max(ref)
+        # the reported cell is a reference maximum (at 2 ms the code peaks
+        # twice, one period apart, equal to rounding)
+        b = round((res.coarse_freq_hz - cfg.freq_search_min_hz) / cfg.freq_step_hz)
+        assert ref[b, res.code_phase_samples] >= (1.0 - 1e-9) * np.max(ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(lo=st.floats(-8000.0, 2000.0), span=st.floats(1.0, 9000.0),
+           step=st.one_of(st.sampled_from([125.0, 250.0, 500.0, 1000.0, 1500.0]),
+                          st.floats(40.0, 3000.0)))
+    def test_any_grid_matches_the_per_bin_search(self, lo, span, step):
+        buf, code = tone_buffer(2.046e6, 0.5e6, 1234.5, 700, 0.001)
+        cfg = AcquisitionConfig(freq_search_min_hz=lo, freq_search_max_hz=lo + span,
+                                freq_step_hz=step, keep_surface=True)
+        ref = per_bin_surface(buf, code, cfg)
+        surface = acquire(buf, code, cfg).correlation_surface
+        assert np.max(np.abs(surface - ref)) <= 1e-9 * np.max(ref)
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_one_forward_fft_per_group(self, monkeypatch, grid):
+        cfg, groups = self.GRIDS[grid]
+        buf, _ = scene(0.002, [0.0], [1500.0], prns=(3,))
+        assert len(buf) < round(F_S * cfg.fine_freq_ms * 1e-3)  # no fine frequency
+        calls = []
+        fft = np.fft.fft
+        monkeypatch.setattr(np.fft, "fft", lambda *a, **k: calls.append(1) or fft(*a, **k))
+        acquire(buf, prn.generate_ca_code(3), cfg)
+        assert len(calls) == groups + 1  # the wiped-off spectra and the replica
+
+
+class TestBandOnlyFineFrequency:
+    @pytest.mark.parametrize("coarse_hz", [2100.0, 2500.0, 2900.0, -4000.0])
+    def test_matches_the_full_fft_band(self, clean_scene, coarse_hz):
+        code = prn.generate_ca_code(7)
+        assert fine_frequency(clean_scene, code, 1000, coarse_hz) == \
+            full_fft_fine_frequency(clean_scene, code, 1000, coarse_hz)
+
+    @pytest.mark.parametrize("if_offset_hz,doppler_hz", [
+        (-1.2e6, -2700.0),           # negative IF
+        (2.046e6 - 300.0, 150.0),    # band runs past +f_s/2
+        (-2.046e6 + 200.0, -100.0),  # band runs past -f_s/2
+        (2.046e6 - 300.0, 450.0),    # tone past +f_s/2 aliases to -f_s/2
+    ])
+    def test_matches_the_full_fft_band_at_the_edges(self, if_offset_hz, doppler_hz):
+        f_s = 4.092e6
+        buf, code = tone_buffer(f_s, if_offset_hz, doppler_hz, 1500, 0.01)
+        for coarse_hz in (doppler_hz - 200.0, doppler_hz, doppler_hz + 100.0):
+            f = fine_frequency(buf, code, 1500, coarse_hz)
+            assert f == full_fft_fine_frequency(buf, code, 1500, coarse_hz)
+            if abs(if_offset_hz + doppler_hz) < f_s / 2:
+                assert f == pytest.approx(doppler_hz, abs=25.0)
 
 
 class TestDiscriminators:
