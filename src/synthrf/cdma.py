@@ -17,10 +17,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import prn
-from .channel import ChannelSet, resample_coefficients
+from .channel import ChannelSet, earliest_delay_s, resample_coefficients
 from .dsp import SignalBuffer, add_awgn, design_antialias_fir, mix_carrier
 
-SATELLITE_DEFAULTS = dict(f_s_hz=38.192e6, f_if_hz=9.548e6, r_c_hz=1.023e6)
 HAPS_DEFAULTS = dict(f_s_hz=38.192e6, f_if_hz=15e6, r_c_hz=10.23e6)
 
 
@@ -111,20 +110,16 @@ def generate_clean_signal(code: prn.SpreadingCode, cfg: CdmaGenConfig) -> Signal
     return mix_carrier(SignalBuffer(baseband, cfg.f_s_hz), cfg.f_if_hz)
 
 
-def synthesize(cfg: CdmaGenConfig, channels: ChannelSet,
-               d_min_s: float | None = None) -> SignalBuffer:
-    """Every path at baseband from the code NCO, delayed relative to d_min_s
-    (default: the earliest initial delay), scaled by its coefficients and
-    summed; one mix to IF, then optional noise."""
+def synthesize(cfg: CdmaGenConfig, channels: ChannelSet) -> SignalBuffer:
+    """Every path at baseband from the code NCO, delayed from D_min (earliest_delay_s),
+    scaled by its coefficients and summed; one mix to IF, then optional noise."""
     if not cfg.sources:
         raise ValueError("config lists no sources")
-    sources = {sid: channels.source(sid) for _, sid in cfg.sources}
-    if d_min_s is None:
-        d_min_s = min(p.delays_s[0] for src in sources.values() for p in src.paths)
+    d_min_s = earliest_delay_s(channels, [sid for _, sid in cfg.sources])
     total = np.zeros(cfg.n_samples, dtype=np.complex128)
     for prn_id, sid in sorted(cfg.sources, key=lambda s: s[1]):  # fixed order
         code = prn.generate_ca_code(prn_id, chipping_rate_hz=cfg.r_c_hz)
-        for path in sources[sid].paths:
+        for path in channels.source(sid).paths:
             series = resample_coefficients(path, channels.update_rate_hz,
                                            cfg.f_s_hz, len(total))
             delay = series.delays_s - d_min_s

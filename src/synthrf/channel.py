@@ -377,10 +377,15 @@ def doppler_spectrum(source: SourceChannel, f_ch: float, nfft: int = 1024) -> Sp
 # ---------------------------------------------------------------------------
 # Shared propagation (delay to D_min, multiply by coefficients, sum)
 
+def earliest_delay_s(channels: ChannelSet, source_ids) -> float:
+    """D_min, the reference of synthesized delays: the earliest initial delay of the sources."""
+    return min(p.delays_s[0] for sid in source_ids for p in channels.source(sid).paths)
+
+
 def propagate_and_sum(clean: dict[str, SignalBuffer], channels: ChannelSet,
                       d_min_s: float | None = None) -> SignalBuffer:
-    """Apply per-path initial delays (referenced to the smallest initial delay
-    across all sources), multiply by the interpolated coefficients, and sum."""
+    """Apply per-path initial delays (referenced to d_min_s, by default
+    earliest_delay_s of the sources), multiply by the interpolated coefficients, and sum."""
     if not clean:
         raise ValueError("no clean signals supplied")
     bufs = list(clean.values())
@@ -394,8 +399,7 @@ def propagate_and_sum(clean: dict[str, SignalBuffer], channels: ChannelSet,
     if n / f_s > channels.duration_s + 1.0 / channels.update_rate_hz:
         raise ValueError("channel set is shorter than the signal")
     if d_min_s is None:
-        d_min_s = min(p.delays_s[0]
-                      for sid in clean for p in channels.source(sid).paths)
+        d_min_s = earliest_delay_s(channels, clean)
     total = np.zeros(n, dtype=np.complex128)
     for sid in sorted(clean):  # fixed order for bit-reproducibility
         src = channels.source(sid)

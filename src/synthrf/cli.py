@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
+import inspect
 import json
 import math
 import sys
@@ -28,53 +28,59 @@ class ConfigError(Exception):
 
 
 def _load_json(path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"file not found: {path}")
-    try:
-        return json.loads(path.read_text())
+    try:  # a missing file raises FileNotFoundError, which main() maps to exit 2
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def _require(cfg: dict, key: str, where: str):
-    if key not in cfg:
-        raise ConfigError(f"{where}: missing required field '{key}'")
-    return cfg[key]
+def _build(fn, cfg, where: str, **fixed):
+    """fn(**cfg, **fixed) once cfg fits fn's signature: each key names a parameter
+    fixed leaves open (or goes to **kwargs, which lets a lambda split off JSON-only
+    keys), none without a default is missing, and int-annotated values pass through
+    int(); else a ConfigError naming where and the field."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where}: expected a JSON object, got {cfg!r}")
+    params = {n: p for n, p in inspect.signature(fn).parameters.items() if n not in fixed}
+    kwargs = dict(cfg, **fixed)
+    spill = any(p.kind is p.VAR_KEYWORD for p in params.values())
+    for key, value in cfg.items():
+        p = params.get(key)
+        if p is None or p.kind is p.VAR_KEYWORD:
+            if key in fixed or not spill:
+                raise ConfigError(f"{where}: unknown field '{key}'")
+        elif p.annotation in (int, "int"):
+            try:
+                kwargs[key] = int(value)
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(f"{where}: field '{key}' must be an integer") from None
+    for name, p in params.items():
+        if p.default is p.empty and p.kind is not p.VAR_KEYWORD and name not in cfg:
+            raise ConfigError(f"{where}: missing required field '{name}'")
+    return fn(**kwargs)
 
 
-def _from_config(cls, cfg: dict, **fixed):
-    """cls from fixed and the keys of cfg naming its other fields (int ones via int())."""
-    types = {f.name: f.type for f in dataclasses.fields(cls) if f.name not in fixed}
-    return cls(**{k: int(v) if types[k] == "int" else v
-                  for k, v in cfg.items() if k in types}, **fixed)
+def _path_spec(cfg, where: str) -> channel.PathSpec:
+    k_db, fields = _build(lambda rician_k_db=None, **fields: (rician_k_db, fields), cfg, where)
+    k = channel.PathSpec.rician_k if k_db is None else 10.0 ** (k_db / 10.0)
+    return _build(channel.PathSpec, fields, where, rician_k=k)
 
 
-def _parse_channel_spec(cfg: dict, seed_override: int | None) -> channel.ChannelSpec:
-    sources = []
-    for i, src in enumerate(_require(cfg, "sources", "channel spec")):
-        where = f"channel spec source[{i}]"
-        paths = []
-        for j, p in enumerate(_require(src, "paths", where)):
-            k = p.get("rician_k_db")
-            paths.append(_from_config(
-                channel.PathSpec, p,
-                initial_delay_s=_require(p, "initial_delay_s", f"{where} path[{j}]"),
-                rician_k=math.inf if k is None else 10.0 ** (k / 10.0)))
-        sources.append(channel.SourceSpec(
-            source_id=str(_require(src, "id", where)),
-            kind=_require(src, "kind", where),
-            los=bool(_require(src, "los", where)),
-            paths=tuple(paths)))
-    seed = seed_override if seed_override is not None else _require(cfg, "seed", "channel spec")
-    return channel.ChannelSpec(sources=tuple(sources),
-                               update_rate_hz=cfg.get("f_ch_hz", 40e3),
-                               duration_s=cfg.get("duration_s", 0.4),
-                               seed=int(seed))
+def _source_spec(cfg, where: str) -> channel.SourceSpec:
+    return _build(lambda id, kind, los, paths: channel.SourceSpec(
+        str(id), kind, bool(los),
+        tuple(_path_spec(p, f"{where} path[{j}]") for j, p in enumerate(paths))), cfg, where)
 
 
 def cmd_gen_channel(args) -> int:
-    spec = _parse_channel_spec(_load_json(args.spec), args.seed)
+    sources, f_ch_hz, fields = _build(
+        lambda sources, f_ch_hz=channel.ChannelSpec.update_rate_hz, **fields:
+        (sources, f_ch_hz, fields), _load_json(args.spec), "channel spec")
+    if args.seed is not None:
+        fields["seed"] = args.seed
+    spec = _build(channel.ChannelSpec, fields, "channel spec", update_rate_hz=f_ch_hz,
+                  sources=tuple(_source_spec(s, f"channel spec source[{i}]")
+                                for i, s in enumerate(sources)))
     channels = channel.generate_synthetic_channel(spec)
     channel.store_channel(channels, args.out)
     for src in channels.sources:
@@ -87,8 +93,7 @@ def cmd_gen_channel(args) -> int:
 
 
 def _ground_truth(channels: channel.ChannelSet, source_ids) -> list[dict]:
-    d_min = min(p.delays_s[0] for sid in source_ids
-                for p in channels.source(sid).paths)
+    d_min = channel.earliest_delay_s(channels, source_ids)
     truth = []
     for sid in source_ids:
         src = channels.source(sid)
@@ -106,35 +111,32 @@ def cmd_synthesize(args) -> int:
     cfg = _load_json(args.config)
     channels = channel.load_channel(args.channel)
     if args.kind == "cdma":
-        sources = [(int(s["prn_id"]), str(s["source_id"]))
-                   for s in _require(cfg, "sources", "cdma config")]
-        gen = _from_config(
-            cdma.CdmaGenConfig, cfg, sources=tuple(sources), modulate_data=True,
-            duration_s=_require(cfg, "duration_s", "cdma config"),
-            data_seed=int(cfg.get("data_seed", args.seed or 0)))
+        sources, fields = _build(lambda sources, **fields: (sources, fields), cfg, "cdma config")
+        fields.setdefault("data_seed", args.seed)
+        gen = _build(cdma.CdmaGenConfig, fields, "cdma config", modulate_data=True, sources=tuple(
+            _build(lambda prn_id, source_id: (int(prn_id), str(source_id)),
+                   s, f"cdma config source[{i}]") for i, s in enumerate(sources)))
         buf = cdma.synthesize(gen, channels)
-        truth = _ground_truth(channels, [sid for _, sid in sources])
-        for entry, (prn_id, _) in zip(truth, sources):
+        truth = _ground_truth(channels, [sid for _, sid in gen.sources])
+        for entry, (prn_id, _) in zip(truth, gen.sources):
             entry["prn_id"] = prn_id
         meta = {"kind": "cdma", "f_if_hz": gen.f_if_hz, "r_c_hz": gen.r_c_hz,
                 "t_d_s": gen.t_d_s, "data_seed": gen.data_seed,
                 "noise_seed": gen.noise_seed, "ground_truth": truth}
     elif args.kind == "prs":
-        carrier = _from_config(prs.CarrierConfig, cfg.get("carrier", {}))
+        sources, carrier, fields = _build(
+            lambda sources, carrier={}, **fields: (sources, carrier, fields), cfg, "prs config")
+        carrier = _build(prs.CarrierConfig, carrier, "prs config carrier")
         resources = {}
-        for i, src in enumerate(_require(cfg, "sources", "prs config")):
-            sid = str(_require(src, "source_id", f"prs config source[{i}]"))
-            resources[sid] = _from_config(prs.PrsResourceConfig, src,
-                                          n_rb_prs=int(src.get("n_rb_prs", carrier.n_rb)))
-        seed = int(cfg.get("seed", args.seed or 0))
-        buf = prs.synthesize_gnb(
-            carrier, resources, channels,
-            duration_s=_require(cfg, "duration_s", "prs config"), seed=seed,
-            with_pdsch=bool(cfg.get("with_pdsch", True)),
-            noise_power_dbw=cfg.get("noise_power_dbw", -math.inf),
-            noise_seed=int(cfg.get("noise_seed", 1)))
+        for i, src in enumerate(sources):
+            where = f"prs config source[{i}]"
+            sid, res = _build(lambda source_id, **res: (str(source_id), res), src, where)
+            resources[sid] = _build(prs.PrsResourceConfig, {"n_rb_prs": carrier.n_rb, **res}, where)
+        fields.setdefault("seed", args.seed)
+        buf = _build(prs.synthesize_gnb, fields, "prs config",
+                     carrier=carrier, prs_configs=resources, channels=channels)
         truth = _ground_truth(channels, list(resources))
-        meta = {"kind": "prs", "seed": seed,
+        meta = {"kind": "prs", "seed": int(fields["seed"]),
                 "numerology": {"scs_hz": carrier.scs_hz, "n_fft": carrier.n_fft,
                                "n_rb": carrier.n_rb,
                                "sample_rate_hz": carrier.sample_rate_hz},
@@ -173,56 +175,50 @@ def _parse_prn_list(text: str) -> list[int]:
     return prns
 
 
-def _truth_by_prn(meta: dict) -> dict[int, dict]:
-    return {int(t["prn_id"]): t for t in meta.get("ground_truth", [])
-            if "prn_id" in t}
+def _acquisitions(args):
+    """Acquire each listed PRN: (recording, its ground truth or None, code, result)."""
+    buf, meta = iqio.read_iq(args.iq)
+    acq_cfg = receiver.AcquisitionConfig(snr_threshold_db=args.snr_threshold)
+    truth = {int(t["prn_id"]): t for t in meta.get("ground_truth", []) if "prn_id" in t}
+    r_c = float(meta.get("r_c_hz", prn.DEFAULT_CHIPPING_RATE_HZ))
+    for prn_id in _parse_prn_list(args.prn):
+        code = prn.generate_ca_code(prn_id, chipping_rate_hz=r_c)
+        yield buf, truth.get(prn_id), code, receiver.acquire(buf, code, acq_cfg)
 
 
 def cmd_acquire(args) -> int:
-    buf, meta = iqio.read_iq(args.iq)
-    acq_cfg = receiver.AcquisitionConfig(snr_threshold_db=args.snr_threshold)
-    truth = _truth_by_prn(meta)
-    r_c = float(meta.get("r_c_hz", 1.023e6))
-    # one code period in samples: only the code phase within it is observable
-    period = prn.CODE_LENGTH / r_c * buf.sample_rate_hz
     rows = []
-    for prn_id in _parse_prn_list(args.prn):
-        code = prn.generate_ca_code(prn_id, chipping_rate_hz=r_c)
-        res = receiver.acquire(buf, code, acq_cfg)
-        row = {"prn_id": prn_id, "acquired": int(res.acquired),
+    for buf, t, code, res in _acquisitions(args):
+        row = {"prn_id": code.prn_id, "acquired": int(res.acquired),
                "code_phase_samples": res.code_phase_samples,
                "coarse_freq_hz": res.coarse_freq_hz,
                "fine_freq_hz": res.fine_freq_hz, "snr_db": res.snr_db}
-        if prn_id in truth:
-            t = truth[prn_id]
+        if t is not None:  # blank for a rejected PRN: its peak is noise
+            row.update(code_phase_error_samples="", doppler_error_hz="")
+        if t is not None and res.acquired:
+            # one code period in samples: only the code phase within it is observable
+            period = prn.CODE_LENGTH / code.chipping_rate_hz * buf.sample_rate_hz
             err = res.code_phase_samples - round(t["delay_s"] * buf.sample_rate_hz)
             row["code_phase_error_samples"] = round(err - period * round(err / period))
             row["doppler_error_hz"] = res.fine_freq_hz - t["doppler_hz"]
         rows.append(row)
         state = "acquired" if res.acquired else "rejected"
-        print(f"PRN {prn_id:02d}: {state} snr={res.snr_db:.1f} dB "
+        print(f"PRN {code.prn_id:02d}: {state} snr={res.snr_db:.1f} dB "
               f"tau={res.code_phase_samples} f={res.coarse_freq_hz:+.0f} Hz")
     _write_csv_rows(args.out, rows)
     return EXIT_OK
 
 
 def cmd_track(args) -> int:
-    buf, meta = iqio.read_iq(args.iq)
-    acq_cfg = receiver.AcquisitionConfig(snr_threshold_db=args.snr_threshold)
     trk_cfg = receiver.TrackingConfig()
-    truth = _truth_by_prn(meta)
-    r_c = float(meta.get("r_c_hz", 1.023e6))
     rows = []
-    for prn_id in _parse_prn_list(args.prn):
-        code = prn.generate_ca_code(prn_id, chipping_rate_hz=r_c)
-        res = receiver.acquire(buf, code, acq_cfg)
+    for buf, t, code, res in _acquisitions(args):
         if not res.acquired:
-            print(f"PRN {prn_id:02d}: not acquired (snr={res.snr_db:.1f} dB), skipped")
+            print(f"PRN {code.prn_id:02d}: not acquired (snr={res.snr_db:.1f} dB), skipped")
             continue
         trace = receiver.track(buf, code, res, trk_cfg)
-        t = truth.get(prn_id)
         for i in range(len(trace)):
-            row = {"prn_id": prn_id, "epoch_s": trace.epoch_s[i],
+            row = {"prn_id": code.prn_id, "epoch_s": trace.epoch_s[i],
                    "code_delay_samples": trace.code_delay_samples[i],
                    "doppler_hz": trace.doppler_hz[i],
                    "prompt_i": trace.prompt_i[i], "prompt_q": trace.prompt_q[i],
@@ -231,7 +227,7 @@ def cmd_track(args) -> int:
             if t is not None:
                 row["doppler_error_hz"] = trace.doppler_hz[i] - t["doppler_hz"]
             rows.append(row)
-        print(f"PRN {prn_id:02d}: tracked {len(trace)} epochs, "
+        print(f"PRN {code.prn_id:02d}: tracked {len(trace)} epochs, "
               f"final doppler {trace.doppler_hz[-1]:+.1f} Hz"
               + (" [loss of lock]" if trace.loss_of_lock else ""))
     _write_csv_rows(args.out, rows)
@@ -269,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel", required=True, help="channel file")
     p.add_argument("--out", required=True, help="output I/Q file")
     p.add_argument("--format", choices=list(iqio.FORMATS), default="f32")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0, help="data/PRS seed if the config sets none")
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("spectrum", help="export a Doppler spectrum as CSV")

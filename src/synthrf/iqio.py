@@ -64,6 +64,8 @@ def read_iq(path) -> tuple[SignalBuffer, dict]:
     if not side.exists():
         raise FileNotFoundError(f"missing sidecar {side}")
     meta = json.loads(side.read_text())
+    if missing := [k for k in ("n_samples", "sample_rate_hz") if k not in meta]:
+        raise ValueError(f"{side}: missing field '{missing[0]}'")
     fmt = meta.get("format", "f32")
     dtype = {"f32": "<f4", "i16": "<i2"}.get(fmt)
     if dtype is None:

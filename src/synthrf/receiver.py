@@ -164,6 +164,8 @@ def fine_frequency(buf: SignalBuffer, code: SpreadingCode, tau_samples: int,
     k = np.arange(max(math.floor((center - cfg.freq_step_hz) / spacing) - 1, -(nfft // 2)),
                   min(math.ceil((center + cfg.freq_step_hz) / spacing) + 1, (nfft - 1) // 2) + 1)
     k = k[np.abs(k * spacing - center) <= cfg.freq_step_hz]
+    if not len(k):
+        raise ValueError(f"fine-frequency centre {center:.0f} Hz is past f_s/2 = {f_s / 2:.0f} Hz")
     p = math.isqrt(n)
     blocks = np.pad(wiped, (0, -n % p)).reshape(-1, p)
     inner = blocks @ np.exp(-2j * np.pi * (np.outer(np.arange(p), k) % nfft) / nfft)

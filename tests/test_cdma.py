@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from synthrf import cdma, dsp, prn, receiver
-from synthrf.cdma import CdmaGenConfig, HAPS_DEFAULTS, SATELLITE_DEFAULTS
+from synthrf.cdma import CdmaGenConfig, HAPS_DEFAULTS
 from synthrf.channel import ChannelSpec, generate_synthetic_channel
 
 from conftest import los_source, make_los_channel
@@ -41,10 +41,6 @@ class TestConfig:
                             **HAPS_DEFAULTS)
         assert cfg.r_c_hz == 10.23e6
         assert cfg.f_if_hz == 15e6
-
-    def test_satellite_defaults_table(self):
-        assert SATELLITE_DEFAULTS == dict(f_s_hz=38.192e6, f_if_hz=9.548e6,
-                                          r_c_hz=1.023e6)
 
 
 class TestCleanSignal:

@@ -9,9 +9,9 @@ from scipy import stats
 
 from synthrf.channel import (ChannelFormatError, ChannelSet, ChannelSpec,
                              PathSeries, PathSpec, SourceChannel, SourceSpec,
-                             doppler_spectrum, generate_synthetic_channel,
-                             load_channel, resample_coefficients,
-                             store_channel)
+                             doppler_spectrum, earliest_delay_s,
+                             generate_synthetic_channel, load_channel,
+                             resample_coefficients, store_channel)
 
 from conftest import los_source, make_los_channel, nlos_source
 
@@ -66,6 +66,12 @@ class TestContainers:
         assert cs.source("s2").paths[0].delays_s[0] == pytest.approx(2e-5)
         with pytest.raises(KeyError):
             cs.source("nope")
+
+
+def test_earliest_delay_covers_only_the_given_sources():
+    channels = make_los_channel([2e-5, 1e-5, 3e-5], [0.0, 0.0, 0.0], 0.001)
+    assert earliest_delay_s(channels, ["s1", "s3"]) == 2e-5
+    assert earliest_delay_s(channels, channels.source_ids) == 1e-5
 
 
 class TestGenerator:

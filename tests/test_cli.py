@@ -3,12 +3,14 @@ acquisition, tracking, and the exit-code contract."""
 
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from synthrf import cdma, iqio, prs
-from synthrf.cli import _from_config, main
+from synthrf.cli import ConfigError, _build, main
 from synthrf.dsp import SignalBuffer
 
 F_S = 38.192e6
@@ -155,6 +157,17 @@ class TestAcquireTrack:
         assert abs(float(rows[5]["doppler_error_hz"])) <= 25.0
         assert abs(int(rows[5]["code_phase_error_samples"])) <= 19
         assert abs(int(rows[9]["code_phase_error_samples"])) <= 19
+        assert rows[17]["code_phase_error_samples"] == rows[17]["doppler_error_hz"] == ""
+
+    def test_rejected_prn_has_blank_error_cells(self, workdir):
+        # a threshold no peak reaches rejects both PRNs that have ground truth
+        out = workdir / "acq_rejected.csv"
+        assert main(["acquire", "--iq", str(workdir / "cdma.iq"), "--prn", "5,9",
+                     "--snr-threshold", "200", "--out", str(out)]) == 0
+        rows = read_rows(out)
+        assert [r["acquired"] for r in rows] == ["0", "0"]
+        for row in rows:
+            assert row["code_phase_error_samples"] == row["doppler_error_hz"] == ""
 
     def test_track_writes_trace(self, workdir):
         out = workdir / "trk.csv"
@@ -188,6 +201,17 @@ class TestAcquireTrack:
         assert abs(int(rows[5]["code_phase_error_samples"])) <= 2
         assert abs(int(rows[9]["code_phase_error_samples"])) <= 2
 
+    @pytest.mark.parametrize("key", ["n_samples", "sample_rate_hz"])
+    def test_sidecar_without_field_is_runtime_error(self, tmp_path, capsys, key):
+        path = tmp_path / "rec.iq"
+        side = iqio.write_iq(path, SignalBuffer(np.ones(10, dtype=complex), F_S))
+        meta = json.loads(side.read_text())
+        del meta[key]
+        side.write_text(json.dumps(meta))
+        assert main(["acquire", "--iq", str(path), "--prn", "5",
+                     "--out", str(tmp_path / "x.csv")]) == 1
+        assert f"{side}: missing field '{key}'" in capsys.readouterr().err
+
     def test_truncated_recording_is_runtime_error(self, tmp_path, capsys):
         path = tmp_path / "rec.iq"
         iqio.write_iq(path, SignalBuffer(np.ones(10, dtype=complex), F_S))
@@ -203,14 +227,111 @@ class TestAcquireTrack:
 
 class TestFromConfig:
     def test_int_fields_are_coerced(self):
-        carrier = _from_config(prs.CarrierConfig, {"n_rb": 24.0, "n_fft": "512"})
+        carrier = _build(prs.CarrierConfig, {"n_rb": 24.0, "n_fft": "512"}, "carrier")
         assert (carrier.n_rb, carrier.n_fft) == (24, 512)
         assert type(carrier.n_rb) is int and type(carrier.n_fft) is int
 
-    def test_fixed_values_override_the_config(self):
-        gen = _from_config(cdma.CdmaGenConfig, {"modulate_data": False, "r_c_hz": 1.023e6},
-                           modulate_data=True)
-        assert gen.modulate_data is True and gen.r_c_hz == 1.023e6
+    def test_fixed_field_in_the_config_is_rejected(self):
+        with pytest.raises(ConfigError, match="cdma config: unknown field 'modulate_data'"):
+            _build(cdma.CdmaGenConfig, {"modulate_data": False, "r_c_hz": 1.023e6},
+                   "cdma config", modulate_data=True)
+
+
+BASE = {"spec": CHANNEL_SPEC, "cdma": CDMA_CONFIG, "prs": PRS_CONFIG}
+
+
+def copy_at(cfg, route):
+    """A deep copy of cfg and the JSON object in it that route leads to."""
+    cfg = json.loads(json.dumps(cfg))
+    obj = cfg
+    for step in route:
+        obj = obj[step]
+    return cfg, obj
+
+
+def run_with(tmp_path, workdir, which, cfg):
+    """gen-channel on cfg as the spec, or synthesize cfg as a cdma/prs config."""
+    path, out = str(tmp_path / "cfg.json"), str(tmp_path / "out")
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    if which == "spec":
+        return main(["gen-channel", "--spec", path, "--out", out + ".chn"])
+    return main(["synthesize", which, "--config", path,
+                 "--channel", str(workdir / "channels.chn"), "--out", out + ".iq"])
+
+
+class TestStrictSchema:
+    # (config, route to a JSON object in it, a key it must reject, the location
+    # the error names): a typo in each of the 8 objects, then fields the CLI fixes
+    @pytest.mark.parametrize("which,route,key,where", [
+        ("spec", (), "f_ch", "channel spec"),
+        ("spec", ("sources", 1), "kinds", "channel spec source[1]"),
+        ("spec", ("sources", 0, "paths", 0), "dopler_hz", "channel spec source[0] path[0]"),
+        ("cdma", (), "noise_power_db", "cdma config"),
+        ("cdma", ("sources", 1), "prn", "cdma config source[1]"),
+        ("prs", (), "noise_power_db", "prs config"),
+        ("prs", ("carrier",), "nfft", "prs config carrier"),
+        ("prs", ("sources", 0), "comb", "prs config source[0]"),
+        ("cdma", (), "modulate_data", "cdma config"),
+        ("spec", ("sources", 0, "paths", 0), "rician_k", "channel spec source[0] path[0]"),
+        ("spec", (), "update_rate_hz", "channel spec"),
+        ("spec", ("sources", 0), "source_id", "channel spec source[0]"),
+        ("prs", (), "prs_configs", "prs config"),
+    ])
+    def test_unknown_key_is_usage_error(self, workdir, tmp_path, capsys,
+                                        which, route, key, where):
+        cfg, obj = copy_at(BASE[which], route)
+        obj[key] = 1
+        assert run_with(tmp_path, workdir, which, cfg) == 2
+        assert f"{where}: unknown field '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which,route,key,where", [
+        ("cdma", ("sources", 0), "prn_id", "cdma config source[0]"),
+        ("spec", ("sources", 0, "paths", 0), "initial_delay_s", "channel spec source[0] path[0]"),
+        ("spec", ("sources", 1), "id", "channel spec source[1]"),
+        ("spec", (), "sources", "channel spec"),
+        ("prs", ("sources", 0), "source_id", "prs config source[0]"),
+        ("prs", (), "duration_s", "prs config"),
+    ])
+    def test_missing_field_is_usage_error(self, workdir, tmp_path, capsys,
+                                          which, route, key, where):
+        cfg, obj = copy_at(BASE[which], route)
+        del obj[key]
+        assert run_with(tmp_path, workdir, which, cfg) == 2
+        assert f"{where}: missing required field '{key}'" in capsys.readouterr().err
+
+    def test_non_integer_for_an_int_field_is_usage_error(self, workdir, tmp_path, capsys):
+        cfg, carrier = copy_at(PRS_CONFIG, ("carrier",))
+        carrier["n_fft"] = "many"
+        assert run_with(tmp_path, workdir, "prs", cfg) == 2
+        assert "prs config carrier: field 'n_fft' must be an integer" in capsys.readouterr().err
+
+    def test_non_object_entry_is_usage_error(self, workdir, tmp_path, capsys):
+        cfg = dict(CDMA_CONFIG, sources=[[5, "sat1"]])
+        assert run_with(tmp_path, workdir, "cdma", cfg) == 2
+        assert "cdma config source[0]: expected a JSON object" in capsys.readouterr().err
+
+    def test_bad_value_stays_a_runtime_error(self, workdir, tmp_path, capsys):
+        cfg, source = copy_at(PRS_CONFIG, ("sources", 0))
+        source["comb_size"] = 3
+        assert run_with(tmp_path, workdir, "prs", cfg) == 1
+        assert "comb_size must be one of 2, 4, 6, 12" in capsys.readouterr().err
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_config_examples_run(tmp_path):
+    """The README's channel spec, CDMA and PRS configs pass the strict schema."""
+    spec, cdma_cfg, prs_cfg = (json.loads(block) for block in
+                               re.findall(r"```json\n(.*?)```", README.read_text(), re.S))
+    for name, cfg in [("spec", spec), ("cdma", cdma_cfg), ("prs", prs_cfg)]:
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+    assert main(["gen-channel", "--spec", str(tmp_path / "spec.json"),
+                 "--out", str(tmp_path / "ch.chn")]) == 0
+    for kind in ("cdma", "prs"):
+        assert main(["synthesize", kind, "--config", str(tmp_path / f"{kind}.json"),
+                     "--channel", str(tmp_path / "ch.chn"),
+                     "--out", str(tmp_path / f"{kind}.iq")]) == 0
 
 
 class TestUsage:

@@ -1,5 +1,6 @@
 """I/Q recording round trips and sidecar metadata."""
 
+import json
 import math
 
 import numpy as np
@@ -88,3 +89,15 @@ def test_truncated_recording_rejected(tmp_path, fmt, sample_bytes, cut):
     with pytest.raises(ValueError, match=f"n_samples 10 needs {10 * sample_bytes}") as exc:
         iqio.read_iq(path)
     assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("key", ["n_samples", "sample_rate_hz"])
+def test_sidecar_without_a_required_field_rejected(tmp_path, key):
+    path = tmp_path / "rec.iq"
+    side = iqio.write_iq(path, SignalBuffer(np.ones(4, dtype=complex), 1e6))
+    meta = json.loads(side.read_text())
+    del meta[key]
+    side.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=f"missing field '{key}'") as exc:
+        iqio.read_iq(path)
+    assert str(side) in str(exc.value)

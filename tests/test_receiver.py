@@ -226,6 +226,13 @@ class TestBandOnlyFineFrequency:
             if abs(if_offset_hz + doppler_hz) < f_s / 2:
                 assert f == pytest.approx(doppler_hz, abs=25.0)
 
+    def test_band_past_nyquist_names_the_cause(self):
+        # IF + coarse = f_s/2 + 500 Hz: every frequency of the ±500 Hz band is at or
+        # past f_s/2, so the band holds no DFT bin
+        buf, code = tone_buffer(4.092e6, 2.046e6 - 300.0, 0.0, 1500, 0.01)
+        with pytest.raises(ValueError, match="centre 2046500 Hz is past f_s/2 = 2046000 Hz"):
+            fine_frequency(buf, code, 1500, 800.0)
+
 
 class TestDiscriminators:
     def test_dll_zero_when_balanced(self):
