@@ -92,10 +92,21 @@ def resample(buf: SignalBuffer, target_rate_hz: float) -> SignalBuffer:
     return replace(buf, samples=out, sample_rate_hz=target_rate_hz)
 
 
+def _phasor(cycles: float, n: int) -> np.ndarray:
+    """e^{j2π·cycles·m}, m = 0..n-1: a 1024-sample table times one phasor per
+    block, whose phase is reduced mod 1 from cycles split into a float32 head
+    (exact times the block start) and the rest, so it holds for any cycles·n."""
+    p = min(n, 1024)
+    starts = p * np.arange(-(-n // p))
+    head = float(np.float32(cycles))
+    block = np.exp(2j * np.pi * ((head * starts % 1.0 + (cycles - head) * starts) % 1.0))
+    return (block[:, None] * np.exp(2j * np.pi * cycles * np.arange(p))).ravel()[:n]
+
+
 def fractional_delay(buf: SignalBuffer, delay_s: float) -> SignalBuffer:
     """Delay by an arbitrary time; the leading gap is zero-filled.
 
-    The sub-sample part is applied as a spectral phase ramp, which is exact
+    A fractional delay is applied as a spectral phase ramp, which is exact
     for bandlimited signals and, unlike interpolation in the time domain,
     does not attenuate content near the Nyquist band (the IF carrier sits
     high in the band, so interpolation loss would be severe there).
@@ -109,13 +120,15 @@ def fractional_delay(buf: SignalBuffer, delay_s: float) -> SignalBuffer:
         return replace(buf, samples=np.zeros(n, dtype=np.complex128))
     whole = int(np.floor(shift))
     frac = shift - whole
-    x = buf.samples
     if frac > 1e-12:
-        freqs = np.fft.fftfreq(n)
-        x = np.fft.ifft(np.fft.fft(x) * np.exp(-2j * np.pi * freqs * frac))
-    out = np.zeros(n, dtype=np.complex128)
-    out[whole:] = x[:n - whole] if whole else x
-    return replace(buf, samples=out)
+        x = np.fft.fft(buf.samples)
+        x *= _phasor(-shift / n, n)  # e^{-j2π·k·shift/n}, k = 0..n-1
+        x[(n + 1) // 2:] *= np.exp(2j * np.pi * frac)  # fftfreq is k/n - 1 from bin ⌈n/2⌉ on
+        x = np.fft.ifft(x)
+    else:
+        x = np.roll(buf.samples, whole)
+    x[:whole] = 0.0  # either way the delay is circular: blank the wrapped tail
+    return replace(buf, samples=x)
 
 
 def add_awgn(buf: SignalBuffer, noise_power_dbw: float, seed: int) -> SignalBuffer:

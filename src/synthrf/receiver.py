@@ -1,6 +1,6 @@
 """Software receiver: parallel code phase search acquisition on shared
-wiped-off spectra, fine frequency estimation on the DFT bins of its search
-band only, and conventional DLL/PLL tracking."""
+wiped-off spectra and the code's main lobe, fine frequency estimation on the
+DFT bins of its search band only, and conventional DLL/PLL tracking."""
 
 from __future__ import annotations
 
@@ -35,6 +35,8 @@ class AcquisitionConfig:
 
 @dataclass
 class AcquisitionResult:
+    """correlation_surface (keep_surface): power per (Doppler bin, lag of n/m samples)."""
+
     prn_id: int
     acquired: bool
     code_phase_samples: int
@@ -98,11 +100,13 @@ def acquire(buf: SignalBuffer, code: SpreadingCode,
             cfg: AcquisitionConfig = AcquisitionConfig()) -> AcquisitionResult:
     """Parallel code phase search over the Doppler grid with the SNR gate.
 
-    The search surface holds correlation power per (Doppler bin, code lag).
     Doppler bins k whole FFT bins (f_s / n) apart share one wiped-off spectrum,
-    as fft(x e^{-j2πkm/n}) = roll(fft(x), -k). The SNR gate is the ratio of
-    the squared surface peak to the mean of the squared surface values along
-    the peak's frequency row, excluding lags within one chip of the peak.
+    as fft(x e^{-j2πkm/n}) = roll(fft(x), -k). Each bin's product with the
+    replica spectrum is cut to the code's main lobe, its m bins nearest DC
+    (m = next_fast_len(4 R_c n / f_s), at most n), and inverse-transformed at
+    m points; the argmax picks the bin, whose full-rate row gives the code
+    phase. The SNR gate is the ratio of the squared row peak to the mean of
+    the squared row values, excluding lags within one chip of the peak.
     """
     f_s = buf.sample_rate_hz
     n = round(f_s * cfg.coherent_ms * 1e-3)
@@ -115,24 +119,32 @@ def acquire(buf: SignalBuffer, code: SpreadingCode,
     freqs = cfg.freq_search_min_hz + cfg.freq_step_hz * np.arange(n_bins)
     residues = np.round(((freqs - freqs[0]) * n / f_s) % 1.0, 9) % 1.0
     t = np.arange(n) / f_s
-    surface = np.empty((n_bins, n))
+    m = min(n, next_fast_len(math.ceil(4 * code.chipping_rate_hz * n / f_s)))
+    kk = ((np.arange(m) + m // 2) % m - m // 2) % n  # the m bins nearest DC, in FFT order
+    surface = np.empty((n_bins, m))
+    wiped = {}
     for r in np.unique(residues):
         members = np.flatnonzero(residues == r)
         f_g = freqs[members[0]]
         spectrum = np.fft.fft(seg * np.exp(-2j * np.pi * (buf.if_offset_hz + f_g) * t))
         for i in members:
             shift = round((freqs[i] - f_g) * n / f_s)
-            corr = np.fft.ifft(np.roll(spectrum, -shift) * replica_fft)
-            surface[i] = np.abs(corr) ** 2
-    bin_idx, tau = np.unravel_index(np.argmax(surface), surface.shape)
+            wiped[i] = spectrum, shift
+            surface[i] = np.abs(np.fft.ifft(spectrum[(kk + shift) % n] * replica_fft[kk])) ** 2
+    bin_idx = int(np.argmax(surface)) // m
+    row = surface[bin_idx]
+    if m < n:  # the full-rate row at the winning bin
+        spectrum, shift = wiped[bin_idx]
+        row = np.abs(np.fft.ifft(np.roll(spectrum, -shift) * replica_fft)) ** 2
+    tau = int(np.argmax(row))
     n_s = samples_per_chip(code, f_s)
     lags = np.arange(n)
     dist = np.minimum((lags - tau) % n, (tau - lags) % n)
-    noise = surface[bin_idx][dist >= n_s]
-    snr_db = 10.0 * np.log10(surface[bin_idx, tau] ** 2 / np.mean(noise ** 2))
+    noise = row[dist >= n_s]
+    snr_db = 10.0 * np.log10(row[tau] ** 2 / np.mean(noise ** 2))
     acquired = bool(snr_db >= cfg.snr_threshold_db)
     result = AcquisitionResult(
-        prn_id=code.prn_id, acquired=acquired, code_phase_samples=int(tau),
+        prn_id=code.prn_id, acquired=acquired, code_phase_samples=tau,
         coarse_freq_hz=float(freqs[bin_idx]), fine_freq_hz=math.nan,
         snr_db=float(snr_db), noise_lag_count=int(len(noise)),
         correlation_surface=surface if cfg.keep_surface else None)

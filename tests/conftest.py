@@ -25,10 +25,11 @@ def los_source(source_id, delay_s, doppler_hz, kind="satellite",
 
 
 def nlos_source(source_id, delay_s, doppler_hz, mean_power_db,
-                fading_doppler_hz, kind="satellite"):
+                fading_doppler_hz, kind="satellite", delay_rate=0.0):
     """Single Rayleigh-faded path (no LOS component)."""
     return SourceSpec(source_id=source_id, kind=kind, los=False,
                       paths=(PathSpec(initial_delay_s=delay_s,
+                                      delay_rate=delay_rate,
                                       mean_power_db=mean_power_db,
                                       doppler_hz=doppler_hz,
                                       rician_k=0.0,

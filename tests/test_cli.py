@@ -54,6 +54,16 @@ def workdir(tmp_path_factory):
     return d
 
 
+@pytest.fixture(scope="module")
+def cdma_iq(workdir):
+    """The 20 ms CDMA recording of the two-satellite scene."""
+    out = workdir / "cdma.iq"
+    assert main(["synthesize", "cdma", "--config", str(workdir / "cdma_config.json"),
+                 "--channel", str(workdir / "channels.chn"),
+                 "--out", str(out)]) == 0
+    return out
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -83,12 +93,8 @@ class TestGenChannel:
 
 
 class TestSynthesize:
-    def test_cdma_20ms_sample_budget_and_sidecar(self, workdir):
-        out = workdir / "cdma.iq"
-        assert main(["synthesize", "cdma", "--config", str(workdir / "cdma_config.json"),
-                     "--channel", str(workdir / "channels.chn"),
-                     "--out", str(out)]) == 0
-        buf, meta = iqio.read_iq(out)
+    def test_cdma_20ms_sample_budget_and_sidecar(self, cdma_iq):
+        buf, meta = iqio.read_iq(cdma_iq)
         assert len(buf) == 763840  # 38.192 MHz x 20 ms
         assert buf.sample_rate_hz == F_S
         truth = {t["prn_id"]: t for t in meta["ground_truth"]}
@@ -146,9 +152,9 @@ class TestSpectrum:
 
 
 class TestAcquireTrack:
-    def test_acquire_reports_both_prns(self, workdir):
+    def test_acquire_reports_both_prns(self, cdma_iq, workdir):
         out = workdir / "acq.csv"
-        assert main(["acquire", "--iq", str(workdir / "cdma.iq"),
+        assert main(["acquire", "--iq", str(cdma_iq),
                      "--prn", "5,9,17", "--out", str(out)]) == 0
         rows = {int(r["prn_id"]): r for r in read_rows(out)}
         assert rows[5]["acquired"] == "1"
@@ -159,19 +165,19 @@ class TestAcquireTrack:
         assert abs(int(rows[9]["code_phase_error_samples"])) <= 19
         assert rows[17]["code_phase_error_samples"] == rows[17]["doppler_error_hz"] == ""
 
-    def test_rejected_prn_has_blank_error_cells(self, workdir):
+    def test_rejected_prn_has_blank_error_cells(self, cdma_iq, workdir):
         # a threshold no peak reaches rejects both PRNs that have ground truth
         out = workdir / "acq_rejected.csv"
-        assert main(["acquire", "--iq", str(workdir / "cdma.iq"), "--prn", "5,9",
+        assert main(["acquire", "--iq", str(cdma_iq), "--prn", "5,9",
                      "--snr-threshold", "200", "--out", str(out)]) == 0
         rows = read_rows(out)
         assert [r["acquired"] for r in rows] == ["0", "0"]
         for row in rows:
             assert row["code_phase_error_samples"] == row["doppler_error_hz"] == ""
 
-    def test_track_writes_trace(self, workdir):
+    def test_track_writes_trace(self, cdma_iq, workdir):
         out = workdir / "trk.csv"
-        assert main(["track", "--iq", str(workdir / "cdma.iq"),
+        assert main(["track", "--iq", str(cdma_iq),
                      "--prn", "5", "--out", str(out)]) == 0
         rows = read_rows(out)
         assert len(rows) >= 18  # 20 ms of 1 ms epochs, minus loop startup
@@ -220,8 +226,8 @@ class TestAcquireTrack:
                      "--out", str(tmp_path / "x.csv")]) == 1
         assert "n_samples 10 needs 80" in capsys.readouterr().err
 
-    def test_bad_prn_list_is_usage_error(self, workdir, tmp_path):
-        assert main(["acquire", "--iq", str(workdir / "cdma.iq"),
+    def test_bad_prn_list_is_usage_error(self, cdma_iq, tmp_path):
+        assert main(["acquire", "--iq", str(cdma_iq),
                      "--prn", "5,banana", "--out", str(tmp_path / "x.csv")]) == 2
 
 

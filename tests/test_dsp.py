@@ -101,11 +101,44 @@ class TestFractionalDelay:
         np.testing.assert_allclose(out.samples, expected, atol=1e-9)
         np.testing.assert_allclose(np.abs(out.samples), 1.0, atol=1e-9)
 
+    @pytest.mark.parametrize("n", [1000, 1001, 76384])
+    @pytest.mark.parametrize("delay_samples", [7.0, 0.37, 100.999])
+    def test_matches_the_full_ramp_formula(self, n, delay_samples):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        out = dsp.fractional_delay(SignalBuffer(x, 1.0), delay_samples)
+        whole = int(delay_samples)
+        ramp = np.exp(-2j * np.pi * np.fft.fftfreq(n) * (delay_samples - whole))
+        expected = np.zeros(n, dtype=complex)
+        expected[whole:] = np.fft.ifft(np.fft.fft(x) * ramp)[:n - whole]
+        assert np.max(np.abs(out.samples - expected)) <= 1e-12 * np.max(np.abs(x))
+
     def test_delay_beyond_buffer_warns_and_zeros(self):
         buf = tone(0.0, 1000.0, 0.01)
         with pytest.warns(UserWarning):
             out = dsp.fractional_delay(buf, 1.0)
         np.testing.assert_array_equal(out.samples, 0.0)
+
+
+class TestPhasor:
+    N = 10 ** 6
+
+    @pytest.mark.parametrize("cycles", [-0.37 / 76384, -100.999 / 10 ** 6,
+                                        1234.5 / 2.046e6, 0.25])
+    def test_matches_the_reduced_phase_formula(self, cycles):
+        m = np.arange(self.N)
+        expected = np.exp(2j * np.pi * ((cycles * m) % 1.0))
+        assert np.max(np.abs(dsp._phasor(cycles, self.N) - expected)) <= 1e-12
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52,
+                        reason="needs an extended-precision long double")
+    @pytest.mark.parametrize("cycles", [0.2371234567, 0.25 + 2500.0 / 38.192e6, -0.4999])
+    def test_phase_is_exact_where_the_float_product_is_not(self, cycles):
+        # float64 cycles·m is itself off by up to 1e-10 cycles here
+        m = np.arange(self.N, dtype=np.longdouble)
+        phase = ((np.longdouble(cycles) * m) % 1).astype(np.float64)
+        expected = np.exp(2j * np.pi * phase)
+        assert np.max(np.abs(dsp._phasor(cycles, self.N) - expected)) <= 1e-12
 
 
 class TestAddAwgn:

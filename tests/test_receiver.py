@@ -10,14 +10,16 @@ from hypothesis import given, settings, strategies as st
 from scipy.fft import next_fast_len
 
 from synthrf import cdma, prn, receiver
-from synthrf.channel import ChannelSpec, generate_synthetic_channel
+from synthrf.channel import (ChannelSpec, generate_synthetic_channel,
+                             propagate_and_sum)
 from synthrf.dsp import SignalBuffer, add_awgn
 from synthrf.receiver import (AcquisitionConfig, AcquisitionResult,
                               TrackingConfig, acquire, dll_discriminator,
                               fine_frequency, pll_discriminator,
                               sample_code_replica, samples_per_chip, track)
 
-from conftest import cn0_to_noise_dbw, los_source, make_los_channel, wrapped_error
+from conftest import (cn0_to_noise_dbw, los_source, make_los_channel, nlos_source,
+                      wrapped_error)
 
 F_S = 38.192e6
 
@@ -86,13 +88,17 @@ class TestAcquire:
 
     def test_surface_kept_on_request(self, clean_scene):
         cfg = AcquisitionConfig(keep_surface=True)
-        res = acquire(clean_scene, prn.generate_ca_code(7), cfg)
-        n = round(F_S * 1e-3)
-        assert res.correlation_surface.shape == (21, n)
-        # the reported peak is the surface argmax
-        b, t = np.unravel_index(np.argmax(res.correlation_surface),
-                                res.correlation_surface.shape)
-        assert t == res.code_phase_samples
+        code = prn.generate_ca_code(7)
+        res = acquire(clean_scene, code, cfg)
+        n, m = round(F_S * 1e-3), 4096
+        surface = res.correlation_surface
+        assert surface.shape == (21, m)
+        ref = per_bin_surface(clean_scene, code, cfg, m)
+        assert np.max(np.abs(surface - ref)) <= 1e-9 * np.max(ref)
+        # the main-lobe peak lies within one of its lags of the full-rate code phase
+        b, lag = np.unravel_index(np.argmax(surface), surface.shape)
+        assert abs(wrapped_error(lag * n / m, res.code_phase_samples, n)) <= n / m
+        assert res.coarse_freq_hz == cfg.freq_search_min_hz + b * cfg.freq_step_hz
 
     def test_noise_lag_count_excludes_one_chip_window(self, clean_scene):
         res = acquire(clean_scene, prn.generate_ca_code(7))
@@ -118,21 +124,44 @@ class TestFineFrequency:
             fine_frequency(clean_scene, prn.generate_ca_code(7), -1, 0.0)
 
 
-def per_bin_surface(buf, code, cfg):
-    """Reference search: one wipe-off and one forward FFT per Doppler bin."""
+def main_lobe_points(code, f_s, n):
+    """The search's inverse-FFT length: four samples per chip, at most n."""
+    return min(n, next_fast_len(math.ceil(4 * code.chipping_rate_hz * n / f_s)))
+
+
+def per_bin_surface(buf, code, cfg, m=None):
+    """Reference search: one wipe-off and one forward FFT per Doppler bin.
+
+    With m, each bin's product spectrum is cut to its m bins nearest DC and
+    inverse-transformed at m points, as the main-lobe search does.
+    """
     f_s = buf.sample_rate_hz
     n = round(f_s * cfg.coherent_ms * 1e-3)
+    m = m or n
+    lobe = np.rint(np.fft.fftfreq(m) * m).astype(int)  # negative bins index from the end
     seg = buf.samples[:n]
     replica_fft = np.conj(np.fft.fft(sample_code_replica(code, f_s, n)))
     n_bins = int(round((cfg.freq_search_max_hz - cfg.freq_search_min_hz)
                        / cfg.freq_step_hz)) + 1
     freqs = cfg.freq_search_min_hz + cfg.freq_step_hz * np.arange(n_bins)
     t = np.arange(n) / f_s
-    surface = np.empty((n_bins, n))
+    surface = np.empty((n_bins, m))
     for i, f in enumerate(freqs):
         wiped = seg * np.exp(-2j * np.pi * (buf.if_offset_hz + f) * t)
-        surface[i] = np.abs(np.fft.ifft(np.fft.fft(wiped) * replica_fft)) ** 2
+        surface[i] = np.abs(np.fft.ifft((np.fft.fft(wiped) * replica_fft)[lobe])) ** 2
     return surface
+
+
+def full_search(buf, code, cfg=AcquisitionConfig()):
+    """Reference decision: the gate statistic at the full-rate surface's argmax."""
+    surface = per_bin_surface(buf, code, cfg)
+    b, tau = np.unravel_index(np.argmax(surface), surface.shape)
+    n = surface.shape[1]
+    dist = np.minimum((np.arange(n) - tau) % n, (tau - np.arange(n)) % n)
+    noise = surface[b][dist >= samples_per_chip(code, buf.sample_rate_hz)]
+    snr_db = 10.0 * np.log10(surface[b, tau] ** 2 / np.mean(noise ** 2))
+    return (bool(snr_db >= cfg.snr_threshold_db), int(tau),
+            cfg.freq_search_min_hz + b * cfg.freq_step_hz, snr_db)
 
 
 def full_fft_fine_frequency(buf, code, tau_samples, coarse_hz, cfg=AcquisitionConfig()):
@@ -173,12 +202,14 @@ class TestSharedSpectrumSearch:
         cfg = self.GRIDS[grid][0]
         code = prn.generate_ca_code(7)
         res = acquire(clean_scene, code, dataclasses.replace(cfg, keep_surface=True))
-        ref = per_bin_surface(clean_scene, code, cfg)
+        n = round(F_S * cfg.coherent_ms * 1e-3)
+        ref = per_bin_surface(clean_scene, code, cfg, main_lobe_points(code, F_S, n))
         assert np.max(np.abs(res.correlation_surface - ref)) <= 1e-9 * np.max(ref)
-        # the reported cell is a reference maximum (at 2 ms the code peaks
-        # twice, one period apart, equal to rounding)
+        # the reported cell is a maximum of the full-rate surface (at 2 ms the
+        # code peaks twice, one period apart, equal to rounding)
+        full = per_bin_surface(clean_scene, code, cfg)
         b = round((res.coarse_freq_hz - cfg.freq_search_min_hz) / cfg.freq_step_hz)
-        assert ref[b, res.code_phase_samples] >= (1.0 - 1e-9) * np.max(ref)
+        assert full[b, res.code_phase_samples] >= (1.0 - 1e-9) * np.max(full)
 
     @settings(max_examples=40, deadline=None)
     @given(lo=st.floats(-8000.0, 2000.0), span=st.floats(1.0, 9000.0),
@@ -202,6 +233,63 @@ class TestSharedSpectrumSearch:
         monkeypatch.setattr(np.fft, "fft", lambda *a, **k: calls.append(1) or fft(*a, **k))
         acquire(buf, prn.generate_ca_code(3), cfg)
         assert len(calls) == groups + 1  # the wiped-off spectra and the replica
+
+    @pytest.mark.parametrize("f_s,lengths", [
+        # 21 main-lobe rows, then the full-rate row at the winning bin
+        (F_S, {4096: 21, 38192: 1}),
+        # four samples per chip exceed n: the surface rows are full-rate already
+        (2.046e6, {2046: 21}),
+    ])
+    def test_inverse_fft_lengths(self, monkeypatch, f_s, lengths):
+        buf, code = tone_buffer(f_s, f_s / 4, 1234.5, 700, 0.002)
+        assert len(buf) < round(f_s * AcquisitionConfig().fine_freq_ms * 1e-3)
+        calls = []
+        ifft = np.fft.ifft
+        monkeypatch.setattr(np.fft, "ifft",
+                            lambda a, *r, **k: calls.append(len(a)) or ifft(a, *r, **k))
+        acquire(buf, code)
+        assert {m: calls.count(m) for m in set(calls)} == lengths
+
+
+# the acquisition-gate trial: scene A's four LOS satellites and the -30 dB
+# Rayleigh NLOS PRN 29, each delay drifting as its L1 Doppler says, 2 ms at 45 dB-Hz
+GATE_SOURCES = ((2, "s1"), (5, "s2"), (11, "s3"), (23, "s4"), (29, "n1"))
+GATE_PATHS = ((10e-6, -3000.0), (12e-6, -1000.0), (15e-6, 1500.0), (19e-6, 4000.0))
+
+
+@pytest.fixture(scope="module")
+def gate_clean():
+    cfg = cdma.CdmaGenConfig(duration_s=0.002, sources=GATE_SOURCES)
+    return {sid: cdma.generate_clean_signal(prn.generate_ca_code(p), cfg)
+            for p, sid in GATE_SOURCES}
+
+
+def gate_trial(clean, channel_seed, noise_seed):
+    rate = -1.0 / 1575.42e6
+    sources = tuple(los_source(f"s{i + 1}", d, f, delay_rate=rate * f)
+                    for i, (d, f) in enumerate(GATE_PATHS))
+    sources += (nlos_source("n1", 14e-6, 800.0, -30.0, 400.0, delay_rate=rate * 800.0),)
+    spec = ChannelSpec(sources=sources, update_rate_hz=40e3, duration_s=0.002,
+                       seed=channel_seed)
+    composite = propagate_and_sum(clean, generate_synthetic_channel(spec))
+    return add_awgn(composite, cn0_to_noise_dbw(F_S, 45.0), noise_seed)
+
+
+class TestMainLobeSearch:
+    """Picking the bin on the main-lobe surface and the lag on one full-rate
+    row decides as the full-rate search does."""
+
+    @pytest.mark.parametrize("k", range(10))  # seeds fixed before the first run
+    def test_decisions_match_the_full_rate_search(self, gate_clean, k):
+        rx = gate_trial(gate_clean, 7000 + k, 7100 + k)
+        for prn_id, _ in GATE_SOURCES:
+            code = prn.generate_ca_code(prn_id)
+            res = acquire(rx, code)
+            acquired, tau, coarse_hz, snr_db = full_search(rx, code)
+            assert res.acquired == acquired, prn_id
+            if acquired:
+                assert (res.code_phase_samples, res.coarse_freq_hz) == (tau, coarse_hz)
+                assert res.snr_db == pytest.approx(snr_db, abs=1e-9)
 
 
 class TestBandOnlyFineFrequency:
