@@ -321,12 +321,8 @@ def load_channel(path) -> ChannelSet:
 # ---------------------------------------------------------------------------
 # Coefficient resampling and Doppler spectrum
 
-def resample_coefficients(series: PathSeries, f_ch: float, target_rate_hz: float,
-                          n_samples: int) -> PathSeries:
-    """Linearly interpolate H and D from the f_ch grid onto the signal rate.
-
-    Holds the last snapshot value beyond the end of the series.
-    """
+def _time_axes(series: PathSeries, f_ch: float, target_rate_hz: float, n_samples: int):
+    """Checked sample and snapshot times for np.interp from the f_ch grid to the signal rate."""
     if target_rate_hz < f_ch:
         raise ValueError("target_rate_hz must be at least f_ch")
     duration = series.n_snapshots / f_ch
@@ -334,11 +330,16 @@ def resample_coefficients(series: PathSeries, f_ch: float, target_rate_hz: float
         raise ValueError(
             f"n_samples={n_samples} exceeds channel duration {duration} s "
             f"at {target_rate_hz} Hz by more than one snapshot")
-    t_out = np.arange(n_samples) / target_rate_hz
-    t_snap = np.arange(series.n_snapshots) / f_ch
-    coeff = np.interp(t_out, t_snap, series.coefficients)
-    delays = np.interp(t_out, t_snap, series.delays_s)
-    return PathSeries(coefficients=coeff, delays_s=delays)
+    return np.arange(n_samples) / target_rate_hz, np.arange(series.n_snapshots) / f_ch
+
+
+def resample_coefficients(series: PathSeries, f_ch: float, target_rate_hz: float,
+                          n_samples: int) -> PathSeries:
+    """Linearly interpolate H and D from the f_ch grid onto the signal rate,
+    holding the last snapshot value beyond the end of the series."""
+    t_out, t_snap = _time_axes(series, f_ch, target_rate_hz, n_samples)
+    return PathSeries(coefficients=np.interp(t_out, t_snap, series.coefficients),
+                      delays_s=np.interp(t_out, t_snap, series.delays_s))
 
 
 @dataclass(frozen=True)
@@ -405,8 +406,8 @@ def propagate_and_sum(clean: dict[str, SignalBuffer], channels: ChannelSet,
         src = channels.source(sid)
         for path in src.paths:
             delayed = fractional_delay(clean[sid], path.delays_s[0] - d_min_s)
-            coeff = resample_coefficients(path, channels.update_rate_hz, f_s, n)
-            total += delayed.samples * coeff.coefficients
+            coeff = np.interp(*_time_axes(path, channels.update_rate_hz, f_s, n), path.coefficients)
+            total += delayed.samples * coeff  # named: numpy's temporary reuse rounds differently
     ref = bufs[0]
     return SignalBuffer(samples=total, sample_rate_hz=f_s,
                         if_offset_hz=ref.if_offset_hz, epoch_s=ref.epoch_s)

@@ -50,9 +50,8 @@ class SignalBuffer:
 
 
 def mix_carrier(buf: SignalBuffer, freq_hz: float, phase_rad: float = 0.0) -> SignalBuffer:
-    """Multiply by a complex exponential; if_offset_hz is advanced by freq_hz."""
-    n = np.arange(len(buf.samples))
-    rotator = np.exp(1j * (2.0 * np.pi * freq_hz * n / buf.sample_rate_hz + phase_rad))
+    """Multiply by e^{j(2π·freq_hz·t + phase_rad)} from _phasor; advance if_offset_hz."""
+    rotator = _phasor(freq_hz / buf.sample_rate_hz, len(buf.samples), phase_rad)
     return replace(buf, samples=buf.samples * rotator,
                    if_offset_hz=buf.if_offset_hz + freq_hz)
 
@@ -92,14 +91,15 @@ def resample(buf: SignalBuffer, target_rate_hz: float) -> SignalBuffer:
     return replace(buf, samples=out, sample_rate_hz=target_rate_hz)
 
 
-def _phasor(cycles: float, n: int) -> np.ndarray:
-    """e^{j2π·cycles·m}, m = 0..n-1: a 1024-sample table times one phasor per
-    block, whose phase is reduced mod 1 from cycles split into a float32 head
-    (exact times the block start) and the rest, so it holds for any cycles·n."""
+def _phasor(cycles: float, n: int, phase_rad: float = 0.0) -> np.ndarray:
+    """e^{j(2π·cycles·m + phase_rad)}, m = 0..n-1: a 1024-sample table times one
+    phasor per block, whose phase is reduced mod 1 from cycles split into a float32
+    head (exact times the block start) and the rest, so it holds for any cycles·n."""
     p = min(n, 1024)
     starts = p * np.arange(-(-n // p))
     head = float(np.float32(cycles))
-    block = np.exp(2j * np.pi * ((head * starts % 1.0 + (cycles - head) * starts) % 1.0))
+    block = np.exp(2j * np.pi * ((head * starts % 1.0 + (cycles - head) * starts) % 1.0)
+                   + 1j * phase_rad)
     return (block[:, None] * np.exp(2j * np.pi * cycles * np.arange(p))).ravel()[:n]
 
 

@@ -1,6 +1,6 @@
 """Software receiver: parallel code phase search acquisition on shared
-wiped-off spectra and the code's main lobe, fine frequency estimation on the
-DFT bins of its search band only, and conventional DLL/PLL tracking."""
+wiped-off spectra and the code's main lobe, fine frequency estimation on its
+search band's DFT bins, and DLL/PLL tracking on one segmented sum per epoch."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import next_fast_len
 
-from .dsp import SignalBuffer
+from .dsp import SignalBuffer, _phasor
 from .prn import CODE_LENGTH, SpreadingCode
 
 
@@ -118,7 +118,6 @@ def acquire(buf: SignalBuffer, code: SpreadingCode,
                        / cfg.freq_step_hz)) + 1
     freqs = cfg.freq_search_min_hz + cfg.freq_step_hz * np.arange(n_bins)
     residues = np.round(((freqs - freqs[0]) * n / f_s) % 1.0, 9) % 1.0
-    t = np.arange(n) / f_s
     m = min(n, next_fast_len(math.ceil(4 * code.chipping_rate_hz * n / f_s)))
     kk = ((np.arange(m) + m // 2) % m - m // 2) % n  # the m bins nearest DC, in FFT order
     surface = np.empty((n_bins, m))
@@ -126,7 +125,7 @@ def acquire(buf: SignalBuffer, code: SpreadingCode,
     for r in np.unique(residues):
         members = np.flatnonzero(residues == r)
         f_g = freqs[members[0]]
-        spectrum = np.fft.fft(seg * np.exp(-2j * np.pi * (buf.if_offset_hz + f_g) * t))
+        spectrum = np.fft.fft(seg * _phasor(-(buf.if_offset_hz + f_g) / f_s, n))
         for i in members:
             shift = round((freqs[i] - f_g) * n / f_s)
             wiped[i] = spectrum, shift
@@ -208,12 +207,32 @@ def pll_discriminator(i_p: float, q_p: float) -> float:
     return math.atan(q_p / i_p) / (2.0 * np.pi)
 
 
+def _early_prompt_late(base: np.ndarray, chips: np.ndarray, rem_code_phase: float,
+                       code_step: float, spacing: float) -> np.ndarray:
+    """E, P and L of base against the chips at floor(cp − spacing), floor(cp) and
+    floor(cp + spacing), cp = rem_code_phase + m·code_step + 0.5 (chip centres).
+    base is summed once over the segments where none of the three steps; each step is
+    estimated, then moved by at most one sample to where the float ramp itself crosses."""
+    offsets = np.array([[-spacing], [0.0], [spacing]])
+    def ramp(m):
+        return rem_code_phase + m * code_step + 0.5 + offsets
+    k = np.arange(math.floor(ramp(0)[0, 0]) + 1, math.floor(ramp(len(base) - 1)[2, 0]) + 1)
+    m = np.ceil((k - offsets - 0.5 - rem_code_phase) / code_step).astype(np.int64)
+    m -= ramp(m - 1) >= k
+    m += ramp(m) < k
+    starts = np.sort(np.clip(np.append(m, 0), 0, len(base) - 1))  # steps outside clip to the ends
+    starts = starts[np.diff(starts, prepend=-1) > 0]  # reduceat gives x[i], not 0, if empty
+    sums = np.add.reduceat(base, starts)
+    return np.take(chips, np.floor(ramp(starts)).astype(np.int64), mode="wrap") @ sums
+
+
 def track(buf: SignalBuffer, code: SpreadingCode, init: AcquisitionResult,
           cfg: TrackingConfig = TrackingConfig()) -> TrackingTrace:
     """Conventional code/carrier tracking loop producing per-epoch traces.
 
     The carrier NCO is seeded with the fine frequency estimate, falling back
     to the coarse bin, and the code NCO starts at the acquired code phase.
+    Each epoch's carrier is a block phasor (dsp._phasor); E, P, L: _early_prompt_late.
     """
     if not init.acquired:
         raise ValueError("cannot track a source that was not acquired")
@@ -259,22 +278,12 @@ def track(buf: SignalBuffer, code: SpreadingCode, init: AcquisitionResult,
         blksize = math.ceil((chips_per_epoch - rem_code_phase) / code_step)
         if p + blksize > len(samples):
             break
-        seg = samples[p:p + blksize]
-        tidx = np.arange(blksize)
-        carrier = np.exp(-1j * (2.0 * np.pi * carr_freq * tidx / f_s + rem_carr_phase))
-        base = seg * carrier
+        base = _phasor(-carr_freq / f_s, blksize, -rem_carr_phase)
+        base *= samples[p:p + blksize]
         rem_carr_phase = ((rem_carr_phase + 2.0 * np.pi * carr_freq * blksize / f_s)
                           % (2.0 * np.pi))
-
-        cp = rem_code_phase + tidx * code_step + 0.5  # round to chip centers
-        early = chips[np.floor(cp - spacing).astype(np.int64) % CODE_LENGTH]
-        prompt = chips[np.floor(cp).astype(np.int64) % CODE_LENGTH]
-        late = chips[np.floor(cp + spacing).astype(np.int64) % CODE_LENGTH]
+        c_e, c_p, c_l = _early_prompt_late(base, chips, rem_code_phase, code_step, spacing)
         new_rem = rem_code_phase + blksize * code_step - chips_per_epoch
-
-        c_e = np.dot(base, early)
-        c_p = np.dot(base, prompt)
-        c_l = np.dot(base, late)
 
         code_err = dll_discriminator(c_e.real, c_e.imag, c_l.real, c_l.imag)
         code_nco = (old_code_nco + (tau2_code / tau1_code) * (code_err - old_code_err)

@@ -140,6 +140,20 @@ class TestPhasor:
         expected = np.exp(2j * np.pi * phase)
         assert np.max(np.abs(dsp._phasor(cycles, self.N) - expected)) <= 1e-12
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52,
+                        reason="needs an extended-precision long double")
+    @pytest.mark.parametrize("freq_hz", [9.548e6 + 2500.0, 15e6 - 4321.5])
+    @pytest.mark.parametrize("phase_rad", [0.0, -2.1])
+    def test_mix_carrier_matches_the_reduced_phase(self, freq_hz, phase_rad):
+        f_s = 38.192e6
+        m = np.arange(self.N, dtype=np.longdouble)
+        phase = ((np.longdouble(freq_hz / f_s) * m) % 1).astype(np.float64)
+        expected = np.exp(1j * (2 * np.pi * phase + phase_rad))
+        mixed = dsp.mix_carrier(SignalBuffer(np.ones(self.N, dtype=complex), f_s),
+                                freq_hz, phase_rad)
+        assert np.max(np.abs(mixed.samples - expected)) <= 1e-12
+        assert mixed.if_offset_hz == freq_hz
+
 
 class TestAddAwgn:
     def test_noise_power_matches_request(self):

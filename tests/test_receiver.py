@@ -343,15 +343,118 @@ class TestDiscriminators:
         assert d1 == pytest.approx(d2)
 
 
+def floor_correlators(base, chips, rem_code_phase, code_step, spacing):
+    """Early, prompt and late as three per-sample replicas and dot products."""
+    cp = rem_code_phase + np.arange(len(base)) * code_step + 0.5  # round to chip centers
+    early = chips[np.floor(cp - spacing).astype(np.int64) % prn.CODE_LENGTH]
+    prompt = chips[np.floor(cp).astype(np.int64) % prn.CODE_LENGTH]
+    late = chips[np.floor(cp + spacing).astype(np.int64) % prn.CODE_LENGTH]
+    return np.dot(base, early), np.dot(base, prompt), np.dot(base, late)
+
+
+def per_sample_track(buf, code, init, cfg):
+    """track's loop with np.exp carrier wipe-off and floor_correlators, for the
+    settings the tracked fixture uses: a fine frequency, no carrier aiding and
+    no loss of lock. Returns the code delay and Doppler traces."""
+    f_s, r_c, pdi = buf.sample_rate_hz, code.chipping_rate_hz, cfg.integration_ms * 1e-3
+    carr_freq = carr_freq_basis = buf.if_offset_hz + init.fine_freq_hz
+    code_freq = r_c
+    chips_per_epoch = round(r_c * pdi)
+    tau1_code, tau2_code = receiver._loop_gains(cfg.dll_bw_hz, cfg.damping, 1.0)
+    tau1_carr, tau2_carr = receiver._loop_gains(cfg.pll_bw_hz, cfg.damping, 0.25)
+    rem_code_phase = rem_carr_phase = 0.0
+    old_code_nco = old_code_err = old_carr_nco = old_carr_err = 0.0
+    p, delays, dopplers = init.code_phase_samples, [], []
+    while True:
+        code_step = code_freq / f_s
+        blksize = math.ceil((chips_per_epoch - rem_code_phase) / code_step)
+        if p + blksize > len(buf):
+            break
+        tidx = np.arange(blksize)
+        base = buf.samples[p:p + blksize] * np.exp(
+            -1j * (2.0 * np.pi * carr_freq * tidx / f_s + rem_carr_phase))
+        rem_carr_phase = ((rem_carr_phase + 2.0 * np.pi * carr_freq * blksize / f_s)
+                          % (2.0 * np.pi))
+        c_e, c_p, c_l = floor_correlators(base, code.chips, rem_code_phase, code_step,
+                                          cfg.correlator_spacing_chips)
+        code_err = dll_discriminator(c_e.real, c_e.imag, c_l.real, c_l.imag)
+        code_nco = (old_code_nco + (tau2_code / tau1_code) * (code_err - old_code_err)
+                    + code_err * (pdi / tau1_code))
+        old_code_nco, old_code_err = code_nco, code_err
+        code_freq = r_c - code_nco
+        carr_err = pll_discriminator(c_p.real, c_p.imag)
+        carr_nco = (old_carr_nco + (tau2_carr / tau1_carr) * (carr_err - old_carr_err)
+                    + carr_err * (pdi / tau1_carr))
+        old_carr_nco, old_carr_err = carr_nco, carr_err
+        carr_freq = carr_freq_basis + carr_nco
+        delays.append(p - rem_code_phase / code_step
+                      - len(delays) * chips_per_epoch * f_s / r_c)
+        dopplers.append(carr_freq - buf.if_offset_hz)
+        p += blksize
+        rem_code_phase += blksize * code_step - chips_per_epoch
+    return np.array(delays), np.array(dopplers)
+
+
+class TestSegmentedCorrelators:
+    @settings(max_examples=80, deadline=None)
+    @given(rates=st.sampled_from([(1.023e6, F_S), (10.23e6, F_S), (1.023e6, 2.046e6)]),
+           code_doppler=st.sampled_from([0.0]) | st.floats(-1e-5, 1e-5),
+           rem_code_phase=st.integers(-10, 10).map(lambda i: i / 20) | st.floats(-0.5, 0.5),
+           spacing=st.integers(1, 20).map(lambda i: i / 20)
+           | st.floats(0.0, 1.0, exclude_min=True),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_match_the_per_sample_correlators(self, rates, code_doppler, rem_code_phase,
+                                              spacing, seed):
+        # on the 0.05-chip grids the steps fall on exact real-valued ties (every
+        # sample at f_s = 2 R_c, every 112th sample for 1.023 MHz at 38.192 MHz),
+        # which float rounding breaks either way
+        r_c, f_s = rates
+        code_step = r_c * (1.0 + code_doppler) / f_s
+        n = math.ceil((round(r_c * 1e-3) - rem_code_phase) / code_step)
+        chips = prn.generate_ca_code(7).chips
+        rng = np.random.default_rng(seed)
+        prompt = np.floor(rem_code_phase + np.arange(n) * code_step + 0.5).astype(np.int64)
+        base = (chips[prompt % prn.CODE_LENGTH]
+                + rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        want = floor_correlators(base, chips, rem_code_phase, code_step, spacing)
+        got = receiver._early_prompt_late(base, chips, rem_code_phase, code_step, spacing)
+        assert np.max(np.abs(np.asarray(want) - got)) <= 1e-9 * abs(want[1])
+
+
 @pytest.fixture(scope="module")
-def tracked():
+def tracked_scene():
     buf, _ = scene(0.05, [0.0, 1000 / F_S * 1e6], [0.0, 2500.0], prns=(1, 7))
     res = acquire(buf, prn.generate_ca_code(7))
     assert res.acquired
+    return buf, res
+
+
+@pytest.fixture(scope="module")
+def tracked(tracked_scene):
+    buf, res = tracked_scene
     return track(buf, prn.generate_ca_code(7), res)
 
 
 class TestTrack:
+    @pytest.mark.parametrize("spacing", [0.25, 0.5, 1.0])
+    def test_matches_the_per_sample_loop(self, tracked_scene, spacing):
+        buf, res = tracked_scene
+        code, cfg = prn.generate_ca_code(7), TrackingConfig(correlator_spacing_chips=spacing)
+        trace = track(buf, code, res, cfg)
+        delays, dopplers = per_sample_track(buf, code, res, cfg)
+        assert len(trace) == len(delays) and not trace.loss_of_lock
+        np.testing.assert_allclose(trace.doppler_hz, dopplers, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(trace.code_delay_samples, delays, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("spacing", [0.25, 1.0])
+    def test_other_spacings_converge_as_the_default(self, tracked_scene, spacing):
+        buf, res = tracked_scene
+        trace = track(buf, prn.generate_ca_code(7), res,
+                      TrackingConfig(correlator_spacing_chips=spacing))
+        for check in (self.test_epoch_count_and_axis, self.test_doppler_converges,
+                      self.test_code_delay_static, self.test_prompt_power_dominates_quadrature):
+            check(trace)
+
     def test_epoch_count_and_axis(self, tracked):
         assert len(tracked) >= 48
         np.testing.assert_allclose(np.diff(tracked.epoch_s), 1e-3)
