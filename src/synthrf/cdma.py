@@ -15,10 +15,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import signal as sig
 
 from . import prn
 from .channel import ChannelSet, earliest_delay_s, resample_coefficients
-from .dsp import SignalBuffer, add_awgn, design_antialias_fir, mix_carrier
+from .dsp import SignalBuffer, add_awgn, mix_carrier
 
 HAPS_DEFAULTS = dict(f_s_hz=38.192e6, f_if_hz=15e6, r_c_hz=10.23e6)
 
@@ -38,6 +39,9 @@ class CdmaGenConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "sources", tuple(tuple(s) for s in self.sources))
+        for name in ("f_s_hz", "r_c_hz", "t_d_s"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         # the complex working rate must hold the carrier and give the code at
         # least two samples per chip; outer code sidelobes are allowed to wrap
         # (the stock HAPS parameter set is deliberately marginal this way)
@@ -49,8 +53,8 @@ class CdmaGenConfig:
         ratio = self.t_d_s / code_period
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("t_d_s must be an integer multiple of the code period")
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
+        if self.n_samples < 1:
+            raise ValueError("duration_s must hold at least one sample at f_s_hz")
 
     @property
     def n_samples(self) -> int:
@@ -63,6 +67,25 @@ class CdmaGenConfig:
 PULSE_OVERSAMPLING = 5  # keeps the main lobe, about 2 MHz at 1.023 MHz, as the old stream did
 PULSE_HALF_SPAN = 4
 PHASE_BITS = 8  # the table resolves 2**PHASE_BITS fractions of a chip
+
+
+# Anti-alias FIR design: Kaiser-windowed sinc, >=60 dB stopband, cutoff at
+# 0.45x the lower of the two rates with the transition band ending at the
+# lower Nyquist.
+_FILTER_ATTEN_DB = 65.0
+_FILTER_CUTOFF_FRAC = 0.45
+_FILTER_WIDTH_FRAC = 0.10
+
+
+def design_antialias_fir(source_hz: float, target_hz: float, up: float) -> np.ndarray:
+    """Kaiser-windowed lowpass for polyphase resampling, at the upsampled rate."""
+    min_rate = min(source_hz, target_hz)
+    up_nyquist = up * source_hz / 2.0
+    numtaps, beta = sig.kaiserord(_FILTER_ATTEN_DB,
+                                  _FILTER_WIDTH_FRAC * min_rate / up_nyquist)
+    numtaps += 1 - numtaps % 2  # odd length, symmetric
+    return sig.firwin(numtaps, _FILTER_CUTOFF_FRAC * min_rate / up_nyquist,
+                      window=("kaiser", beta))
 
 
 @lru_cache(maxsize=8)

@@ -37,8 +37,9 @@ def _load_json(path) -> dict:
 def _build(fn, cfg, where: str, **fixed):
     """fn(**cfg, **fixed) once cfg fits fn's signature: each key names a parameter
     fixed leaves open (or goes to **kwargs, which lets a lambda split off JSON-only
-    keys), none without a default is missing, and int-annotated values pass through
-    int(); else a ConfigError naming where and the field."""
+    keys), none without a default is missing, int-annotated values pass through
+    int() and float-annotated ones are numbers; else a ConfigError naming where
+    and the field."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"{where}: expected a JSON object, got {cfg!r}")
     params = {n: p for n, p in inspect.signature(fn).parameters.items() if n not in fixed}
@@ -54,6 +55,9 @@ def _build(fn, cfg, where: str, **fixed):
                 kwargs[key] = int(value)
             except (TypeError, ValueError, OverflowError):
                 raise ConfigError(f"{where}: field '{key}' must be an integer") from None
+        elif p.annotation in (float, "float") and (
+                isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise ConfigError(f"{where}: field '{key}' must be a number")
     for name, p in params.items():
         if p.default is p.empty and p.kind is not p.VAR_KEYWORD and name not in cfg:
             raise ConfigError(f"{where}: missing required field '{name}'")

@@ -1,27 +1,11 @@
-"""Shared DSP primitives: sample buffers, mixing, resampling, delays, noise, FFT correlation."""
+"""Shared DSP primitives: sample buffers, mixing, delays, noise, FFT correlation."""
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
-from scipy import signal as sig
-
-MAX_RESAMPLE_FACTOR = 1 << 20
-_RATIO_TOL = 1e-9
-
-# Anti-alias FIR design: Kaiser-windowed sinc, >=60 dB stopband, cutoff at
-# 0.45x the lower of the two rates with the transition band ending at the
-# lower Nyquist.
-_FILTER_ATTEN_DB = 65.0
-_FILTER_CUTOFF_FRAC = 0.45
-_FILTER_WIDTH_FRAC = 0.10
-
-
-class UnsupportedRatioError(ValueError):
-    """Resampling ratio not representable as L/M with L, M <= 2**20."""
 
 
 @dataclass(frozen=True)
@@ -54,41 +38,6 @@ def mix_carrier(buf: SignalBuffer, freq_hz: float, phase_rad: float = 0.0) -> Si
     rotator = _phasor(freq_hz / buf.sample_rate_hz, len(buf.samples), phase_rad)
     return replace(buf, samples=buf.samples * rotator,
                    if_offset_hz=buf.if_offset_hz + freq_hz)
-
-
-def _rational_ratio(source_hz: float, target_hz: float) -> tuple[int, int]:
-    ratio = target_hz / source_hz
-    frac = Fraction(ratio).limit_denominator(MAX_RESAMPLE_FACTOR)
-    if (frac.numerator > MAX_RESAMPLE_FACTOR or frac.numerator < 1
-            or abs(float(frac) - ratio) / ratio > _RATIO_TOL):
-        raise UnsupportedRatioError(
-            f"cannot approximate rate ratio {target_hz}/{source_hz} with "
-            f"L, M <= 2**20 to within {_RATIO_TOL} relative")
-    return frac.numerator, frac.denominator
-
-
-def design_antialias_fir(source_hz: float, target_hz: float, up: float) -> np.ndarray:
-    """Kaiser-windowed lowpass for polyphase resampling, at the upsampled rate."""
-    min_rate = min(source_hz, target_hz)
-    up_nyquist = up * source_hz / 2.0
-    numtaps, beta = sig.kaiserord(_FILTER_ATTEN_DB,
-                                  _FILTER_WIDTH_FRAC * min_rate / up_nyquist)
-    numtaps += 1 - numtaps % 2  # odd length, symmetric
-    return sig.firwin(numtaps, _FILTER_CUTOFF_FRAC * min_rate / up_nyquist,
-                      window=("kaiser", beta))
-
-
-def resample(buf: SignalBuffer, target_rate_hz: float) -> SignalBuffer:
-    """Rational-ratio polyphase resampling (upsample, FIR lowpass, downsample)."""
-    if target_rate_hz <= 0:
-        raise ValueError("target_rate_hz must be positive")
-    if target_rate_hz == buf.sample_rate_hz:
-        return replace(buf, samples=buf.samples.copy())
-    up, down = _rational_ratio(buf.sample_rate_hz, target_rate_hz)
-    h = design_antialias_fir(buf.sample_rate_hz, target_rate_hz, up)
-    # resample_poly scales an array window by `up` internally
-    out = sig.resample_poly(buf.samples, up, down, window=h)
-    return replace(buf, samples=out, sample_rate_hz=target_rate_hz)
 
 
 def _phasor(cycles: float, n: int, phase_rad: float = 0.0) -> np.ndarray:

@@ -15,7 +15,6 @@ import numpy as np
 from .dsp import SignalBuffer
 
 FORMATS = ("f32", "i16")
-DEFAULT_I16_FULL_SCALE = 8.0
 
 
 def sidecar_path(iq_path) -> Path:
@@ -64,9 +63,12 @@ def read_iq(path) -> tuple[SignalBuffer, dict]:
     if not side.exists():
         raise FileNotFoundError(f"missing sidecar {side}")
     meta = json.loads(side.read_text())
-    if missing := [k for k in ("n_samples", "sample_rate_hz") if k not in meta]:
+    required = ["format", "n_samples", "sample_rate_hz", "if_offset_hz"]
+    if meta.get("format") == "i16":
+        required.append("full_scale")
+    if missing := [k for k in required if k not in meta]:
         raise ValueError(f"{side}: missing field '{missing[0]}'")
-    fmt = meta.get("format", "f32")
+    fmt = meta["format"]
     dtype = {"f32": "<f4", "i16": "<i2"}.get(fmt)
     if dtype is None:
         raise ValueError(f"unknown format {fmt!r} in sidecar")
@@ -76,10 +78,9 @@ def read_iq(path) -> tuple[SignalBuffer, dict]:
         raise ValueError(f"{path}: {len(raw)} bytes, n_samples {meta['n_samples']} needs {size}")
     interleaved = np.frombuffer(raw, dtype=dtype).astype(np.float64)
     if fmt == "i16":
-        scale = float(meta.get("full_scale", DEFAULT_I16_FULL_SCALE))
-        interleaved = interleaved / 32767.0 * scale
+        interleaved = interleaved / 32767.0 * float(meta["full_scale"])
     samples = interleaved[0::2] + 1j * interleaved[1::2]
     buf = SignalBuffer(samples, float(meta["sample_rate_hz"]),
-                       if_offset_hz=float(meta.get("if_offset_hz", 0.0)),
+                       if_offset_hz=float(meta["if_offset_hz"]),
                        epoch_s=float(meta.get("epoch_s", 0.0)))
     return buf, meta

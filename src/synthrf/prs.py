@@ -3,6 +3,12 @@
 Covers carrier numerology (15 kHz SCS, normal cyclic prefix), PRS sequence
 generation and comb mapping per the public TS 38.211 rules, filler QPSK on
 the remaining cells, and the OFDM modulator/demodulator pair.
+
+The modem reads the slot layout (TS 38.211 5.3.1) from one table per carrier,
+_slot_table: each slot sample's index into the slot's 14 stacked IFFT bodies,
+and each body sample's position in the slot.  A slot is one (14, n_fft) IFFT
+and a gather; demodulation is the inverse gather and one FFT; the CP check
+pairs each prefix sample with the body sample it copies.
 """
 
 from __future__ import annotations
@@ -43,6 +49,10 @@ class CarrierConfig:
     def __post_init__(self):
         if not 0 <= self.n_cell_id <= 1007:
             raise ValueError("n_cell_id must be in 0..1007")
+        if self.scs_hz <= 0:
+            raise ValueError("scs_hz must be positive")
+        if self.n_rb < 1:
+            raise ValueError("n_rb must be at least 1")
         if self.n_fft < 12 * self.n_rb:
             raise ValueError("n_fft must be at least 12*n_rb")
 
@@ -210,43 +220,53 @@ def generate_pdsch_filler(carrier: CarrierConfig, seed: int, slot_index: int,
     return grid
 
 
+def _slot_table(carrier: CarrierConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(source, position): source[i] is slot sample i's index into the slot's
+    stacked IFFT bodies, flattened (a prefix sample indexes its symbol's tail);
+    position[l, m] is the slot sample that carries sample m of body l."""
+    n_fft = carrier.n_fft
+    cp = np.array([carrier.cp_length(l) for l in range(SYMBOLS_PER_SLOT)])
+    body_start = np.cumsum(cp + n_fft) - n_fft
+    symbol = np.repeat(np.arange(SYMBOLS_PER_SLOT), cp + n_fft)
+    source = symbol * n_fft + (np.arange(len(symbol)) - body_start[symbol]) % n_fft
+    position = body_start[:, None] + np.arange(n_fft)
+    return source, position
+
+
 def ofdm_modulate(grids, carrier: CarrierConfig) -> SignalBuffer:
     """OFDM-modulate a sequence of slot grids at f_s = n_fft * scs."""
+    source, _ = _slot_table(carrier)
     n_sc = carrier.n_subcarriers
-    n_fft = carrier.n_fft
-    bins = (np.arange(n_sc) - n_sc // 2) % n_fft  # subcarriers centered on DC
-    out = np.empty(carrier.samples_per_slot * len(grids), dtype=np.complex128)
-    ptr = 0
-    for grid in grids:
+    bins = (np.arange(n_sc) - n_sc // 2) % carrier.n_fft  # subcarriers centered on DC
+    out = np.empty((len(grids), len(source)), dtype=np.complex128)
+    frames = np.zeros((SYMBOLS_PER_SLOT, carrier.n_fft), dtype=np.complex128)
+    for slot, grid in zip(out, grids):
         if grid.cells.shape != (n_sc, SYMBOLS_PER_SLOT):
             raise ValueError("grid shape does not match the carrier config")
-        for l in range(SYMBOLS_PER_SLOT):
-            frame = np.zeros(n_fft, dtype=np.complex128)
-            frame[bins] = grid.cells[:, l]
-            body = np.fft.ifft(frame) * n_fft
-            cp = carrier.cp_length(l)
-            out[ptr:ptr + cp] = body[-cp:]
-            out[ptr + cp:ptr + cp + n_fft] = body
-            ptr += cp + n_fft
-    return SignalBuffer(out, carrier.sample_rate_hz)
+        frames[:, bins] = grid.cells.T
+        slot[:] = (np.fft.ifft(frames) * carrier.n_fft).ravel()[source]
+    return SignalBuffer(out.ravel(), carrier.sample_rate_hz)
 
 
 def cp_alignment_metric(samples: np.ndarray, carrier: CarrierConfig) -> float:
-    """Mean normalized correlation between each cyclic prefix and the symbol tail."""
-    n_fft = carrier.n_fft
-    ptr = 0
-    corrs = []
-    while True:
-        for l in range(SYMBOLS_PER_SLOT):
-            cp = carrier.cp_length(l)
-            if ptr + cp + n_fft > len(samples):
-                return float(np.mean(corrs)) if corrs else 0.0
-            head = samples[ptr:ptr + cp]
-            tail = samples[ptr + n_fft:ptr + n_fft + cp]
-            denom = np.linalg.norm(head) * np.linalg.norm(tail)
-            if denom > 0:
-                corrs.append(abs(np.vdot(head, tail)) / denom)
-            ptr += cp + n_fft
+    """Mean normalized correlation between each cyclic prefix and the symbol
+    tail it copies, over the symbols that lie whole in the buffer."""
+    source, position = _slot_table(carrier)
+    sps = len(source)
+    copied = position.ravel()[source]  # the body sample each slot sample repeats
+    cp = np.flatnonzero(copied != np.arange(sps))  # the slot's prefix samples
+    at = sps * np.arange(-(-len(samples) // sps))[:, None]  # each slot's first sample
+    # the last body sample of each prefix sample's symbol: whole symbols count
+    last = (at + position[source[cp] // carrier.n_fft, -1]).ravel()
+    whole = last < len(samples)
+    head = samples[(at + cp).ravel()[whole]]
+    tail = samples[(at + copied[cp]).ravel()[whole]]
+    starts = np.flatnonzero(np.diff(last[whole], prepend=-1))  # each symbol's first
+    dot = np.abs(np.add.reduceat(np.conj(head) * tail, starts))
+    denom = (np.sqrt(np.add.reduceat(np.abs(head) ** 2, starts))
+             * np.sqrt(np.add.reduceat(np.abs(tail) ** 2, starts)))
+    live = denom > 0
+    return float(np.mean(dot[live] / denom[live])) if live.any() else 0.0
 
 
 def ofdm_demodulate(buf: SignalBuffer, carrier: CarrierConfig) -> list[ResourceGrid]:
@@ -258,19 +278,13 @@ def ofdm_demodulate(buf: SignalBuffer, carrier: CarrierConfig) -> list[ResourceG
     if metric < 0.5 and np.any(buf.samples):
         warnings.warn(f"cyclic prefix correlation is low ({metric:.2f}); "
                       "input may be misaligned")
+    _, position = _slot_table(carrier)
     n_sc = carrier.n_subcarriers
-    n_fft = carrier.n_fft
-    bins = (np.arange(n_sc) - n_sc // 2) % n_fft
+    bins = (np.arange(n_sc) - n_sc // 2) % carrier.n_fft
     grids = []
-    ptr = 0
-    for _ in range(len(buf) // sps):
+    for slot in buf.samples.reshape(-1, sps):
         grid = ResourceGrid.empty(carrier)
-        for l in range(SYMBOLS_PER_SLOT):
-            cp = carrier.cp_length(l)
-            body = buf.samples[ptr + cp:ptr + cp + n_fft]
-            frame = np.fft.fft(body) / n_fft
-            grid.cells[:, l] = frame[bins]
-            ptr += cp + n_fft
+        grid.cells[:] = (np.fft.fft(slot[position]) / carrier.n_fft)[:, bins].T
         grids.append(grid)
     return grids
 

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import signal
 
 from synthrf import cdma, dsp, prn, receiver
 from synthrf.cdma import CdmaGenConfig, HAPS_DEFAULTS
@@ -30,6 +31,18 @@ class TestConfig:
             sat_config(f_if_hz=20e6)
         with pytest.raises(ValueError, match="r_c_hz"):
             sat_config(r_c_hz=20.46e6)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("f_s_hz", 0.0, "f_s_hz must be positive"),
+        ("r_c_hz", 0.0, "r_c_hz must be positive"),
+        ("t_d_s", 0.0, "t_d_s must be positive"),
+        ("t_d_s", -0.02, "t_d_s must be positive"),
+        ("duration_s", 1e-9, "at least one sample"),
+        ("duration_s", -0.001, "at least one sample"),
+    ])
+    def test_rejects_degenerate_rates_and_durations(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            sat_config(**{field: value})
 
     def test_bit_duration_must_fit_code_periods(self):
         with pytest.raises(ValueError, match="t_d_s"):
@@ -147,9 +160,10 @@ class TestCodeNco:
         buf = cdma.generate_clean_signal(code, cfg)
         n_chips = math.ceil(cfg.duration_s * cfg.r_c_hz)
         stream = np.resize(code.chips, n_chips + 1)[(np.arange(5 * n_chips) + 2) // 5]
-        ref = dsp.resample(dsp.SignalBuffer(stream, 5 * cfg.r_c_hz), cfg.f_s_hz)
-        ref = dsp.mix_carrier(dsp.SignalBuffer(ref.samples[:cfg.n_samples], cfg.f_s_hz),
-                              cfg.f_if_hz)
+        # 38.192 MHz / (5 x 1.023 MHz) = 112/15; resample_poly scales the window by up
+        h = cdma.design_antialias_fir(5 * cfg.r_c_hz, cfg.f_s_hz, 112)
+        ref = signal.resample_poly(stream, 112, 15, window=h)
+        ref = dsp.mix_carrier(dsp.SignalBuffer(ref[:cfg.n_samples], cfg.f_s_hz), cfg.f_if_hz)
         edge = round(50e-6 * cfg.f_s_hz)
         a, b = buf.samples[edge:-edge], ref.samples[edge:-edge]
         rho = abs(np.vdot(b, a)) / np.sqrt(np.vdot(a, a).real * np.vdot(b, b).real)

@@ -207,7 +207,7 @@ class TestAcquireTrack:
         assert abs(int(rows[5]["code_phase_error_samples"])) <= 2
         assert abs(int(rows[9]["code_phase_error_samples"])) <= 2
 
-    @pytest.mark.parametrize("key", ["n_samples", "sample_rate_hz"])
+    @pytest.mark.parametrize("key", ["n_samples", "sample_rate_hz", "if_offset_hz"])
     def test_sidecar_without_field_is_runtime_error(self, tmp_path, capsys, key):
         path = tmp_path / "rec.iq"
         side = iqio.write_iq(path, SignalBuffer(np.ones(10, dtype=complex), F_S))
@@ -310,6 +310,34 @@ class TestStrictSchema:
         carrier["n_fft"] = "many"
         assert run_with(tmp_path, workdir, "prs", cfg) == 2
         assert "prs config carrier: field 'n_fft' must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which,route,key,value", [
+        ("prs", (), "noise_power_dbw", "x"),
+        ("cdma", (), "noise_power_dbw", "x"),
+        ("cdma", (), "r_c_hz", True),
+        ("prs", ("carrier",), "scs_hz", [15e3]),
+        ("spec", ("sources", 0, "paths", 0), "doppler_hz", None),
+    ])
+    def test_non_number_for_a_float_field_is_usage_error(self, workdir, tmp_path, capsys,
+                                                         which, route, key, value):
+        cfg, obj = copy_at(BASE[which], route)
+        obj[key] = value
+        assert run_with(tmp_path, workdir, which, cfg) == 2
+        assert f"field '{key}' must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which,route,key,value,message", [
+        ("cdma", (), "r_c_hz", 0, "r_c_hz must be positive"),
+        ("cdma", (), "t_d_s", 0, "t_d_s must be positive"),
+        ("cdma", (), "duration_s", 1e-9, "duration_s must hold at least one sample"),
+        ("prs", ("carrier",), "scs_hz", 0, "scs_hz must be positive"),
+        ("prs", ("carrier",), "n_rb", 0, "n_rb must be at least 1"),
+    ])
+    def test_degenerate_value_is_a_runtime_error(self, workdir, tmp_path, capsys,
+                                                 which, route, key, value, message):
+        cfg, obj = copy_at(BASE[which], route)
+        obj[key] = value
+        assert run_with(tmp_path, workdir, which, cfg) == 1
+        assert message in capsys.readouterr().err
 
     def test_non_object_entry_is_usage_error(self, workdir, tmp_path, capsys):
         cfg = dict(CDMA_CONFIG, sources=[[5, "sat1"]])

@@ -1,11 +1,11 @@
-"""DSP primitives: carrier mixing, rational resampling, fractional delay,
-AWGN injection, and FFT correlation."""
+"""DSP primitives: carrier mixing, fractional delay, AWGN injection, and FFT
+correlation."""
 
 import numpy as np
 import pytest
 
 from synthrf import dsp
-from synthrf.dsp import SignalBuffer, UnsupportedRatioError
+from synthrf.dsp import SignalBuffer
 
 
 def tone(freq_hz, sample_rate_hz, duration_s, amplitude=1.0):
@@ -45,39 +45,6 @@ class TestMixCarrier:
         buf = SignalBuffer(np.ones(16, dtype=complex), 1000.0)
         mixed = dsp.mix_carrier(buf, 0.0, phase_rad=np.pi / 2)
         assert mixed.samples[0] == pytest.approx(1j)
-
-
-class TestResample:
-    def test_unity_ratio_is_identity(self):
-        buf = tone(100.0, 10000.0, 0.01)
-        out = dsp.resample(buf, 10000.0)
-        np.testing.assert_array_equal(out.samples, buf.samples)
-
-    def test_code_rate_to_working_rate_length(self):
-        # the headline conversion: 1.023 MHz chips to 38.192 MHz for 1 ms
-        buf = SignalBuffer(np.ones(1023, dtype=complex), 1.023e6)
-        out = dsp.resample(buf, 38.192e6)
-        assert len(out) == 38192
-        assert out.sample_rate_hz == 38.192e6
-
-    def test_passband_gain_is_unity(self):
-        buf = tone(2000.0, 48000.0, 0.1)
-        out = dsp.resample(buf, 32000.0)
-        body = out.samples[len(out) // 4: -len(out) // 4]
-        assert np.mean(np.abs(body)) == pytest.approx(1.0, rel=0.01)
-        assert spectral_peak_hz(out) == pytest.approx(2000.0, abs=15.0)
-
-    def test_alias_rejection(self):
-        # a tone above the target Nyquist must be strongly attenuated
-        buf = tone(20000.0, 48000.0, 0.1)
-        out = dsp.resample(buf, 32000.0)
-        body = out.samples[len(out) // 4: -len(out) // 4]
-        assert 20.0 * np.log10(np.mean(np.abs(body))) < -60.0
-
-    def test_irrational_ratio_rejected(self):
-        buf = tone(100.0, 48000.0, 0.01)
-        with pytest.raises(UnsupportedRatioError):
-            dsp.resample(buf, 48000.0 * np.pi)
 
 
 class TestFractionalDelay:

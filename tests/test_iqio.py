@@ -73,7 +73,7 @@ def test_i16_prs_round_trip_does_not_clip(tmp_path):
     back, meta = iqio.read_iq(path)
     scale = meta["full_scale"]
     peak = max(np.max(np.abs(buf.samples.real)), np.max(np.abs(buf.samples.imag)))
-    assert peak > iqio.DEFAULT_I16_FULL_SCALE  # a fixed full scale would clip
+    assert peak > 8.0  # a fixed full scale of 8 would clip
     # the peak rounded up to a power of two: no sample exceeds full scale
     assert peak <= scale < 2 * peak and math.log2(scale).is_integer()
     np.testing.assert_allclose(back.samples, buf.samples, atol=scale / 32767)
@@ -91,10 +91,12 @@ def test_truncated_recording_rejected(tmp_path, fmt, sample_bytes, cut):
     assert str(path) in str(exc.value)
 
 
-@pytest.mark.parametrize("key", ["n_samples", "sample_rate_hz"])
+@pytest.mark.parametrize("key", ["n_samples", "sample_rate_hz", "format",
+                                 "if_offset_hz", "full_scale"])
 def test_sidecar_without_a_required_field_rejected(tmp_path, key):
     path = tmp_path / "rec.iq"
-    side = iqio.write_iq(path, SignalBuffer(np.ones(4, dtype=complex), 1e6))
+    fmt = "i16" if key == "full_scale" else "f32"  # only i16 has a full scale
+    side = iqio.write_iq(path, SignalBuffer(np.ones(4, dtype=complex), 1e6), fmt=fmt)
     meta = json.loads(side.read_text())
     del meta[key]
     side.write_text(json.dumps(meta))

@@ -1,10 +1,14 @@
 """NR PRS: scrambling-sequence oracles, comb mapping, slot scheduling, OFDM
 numerology, and the modulate/demodulate round trip."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from synthrf import prs
+from synthrf.dsp import SignalBuffer
 from synthrf.prs import (CarrierConfig, PrsResourceConfig, ResourceGrid,
                          cp_alignment_metric, generate_pdsch_filler,
                          generate_prs_symbols, gnb_clean_waveform, is_prs_slot,
@@ -50,6 +54,14 @@ class TestScrambling:
 
 
 class TestCarrierConfig:
+    @pytest.mark.parametrize("field,value,message", [
+        ("scs_hz", 0.0, "scs_hz must be positive"),
+        ("n_rb", 0, "n_rb must be at least 1"),
+    ])
+    def test_rejects_degenerate_numerology(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            CarrierConfig(**{"n_rb": 1, "n_fft": 16, field: value})
+
     def test_eq1_sample_rate(self):
         carrier = CarrierConfig(n_cell_id=0)
         assert carrier.sample_rate_hz == 1024 * 15e3 == 15.36e6
@@ -180,14 +192,12 @@ class TestOfdm:
         carrier = CarrierConfig(n_cell_id=0)
         buf = gnb_clean_waveform(carrier, PrsResourceConfig(), n_slots=1,
                                  seed=0)
-        from synthrf.dsp import SignalBuffer
         rolled = SignalBuffer(np.roll(buf.samples, 500), buf.sample_rate_hz)
         with pytest.warns(UserWarning):
             ofdm_demodulate(rolled, carrier)
 
     def test_demodulate_requires_whole_slots(self):
         carrier = CarrierConfig(n_cell_id=0)
-        from synthrf.dsp import SignalBuffer
         buf = SignalBuffer(np.ones(15360 + 7, dtype=complex),
                            carrier.sample_rate_hz)
         with pytest.raises(ValueError):
@@ -207,3 +217,98 @@ class TestGnbWaveform:
         a = gnb_clean_waveform(carrier, PrsResourceConfig(), 2, seed=3)
         b = gnb_clean_waveform(carrier, PrsResourceConfig(), 2, seed=3)
         np.testing.assert_array_equal(a.samples, b.samples)
+
+
+# --- the per-symbol modem the slot table replaced, kept as an oracle ---------
+
+def reference_modulate(grids, carrier):
+    n_sc = carrier.n_subcarriers
+    n_fft = carrier.n_fft
+    bins = (np.arange(n_sc) - n_sc // 2) % n_fft
+    out = np.empty(carrier.samples_per_slot * len(grids), dtype=np.complex128)
+    ptr = 0
+    for grid in grids:
+        for l in range(prs.SYMBOLS_PER_SLOT):
+            frame = np.zeros(n_fft, dtype=np.complex128)
+            frame[bins] = grid.cells[:, l]
+            body = np.fft.ifft(frame) * n_fft
+            cp = carrier.cp_length(l)
+            out[ptr:ptr + cp] = body[-cp:]
+            out[ptr + cp:ptr + cp + n_fft] = body
+            ptr += cp + n_fft
+    return out
+
+
+def reference_cp_metric(samples, carrier):
+    n_fft = carrier.n_fft
+    ptr = 0
+    corrs = []
+    while True:
+        for l in range(prs.SYMBOLS_PER_SLOT):
+            cp = carrier.cp_length(l)
+            if ptr + cp + n_fft > len(samples):
+                return float(np.mean(corrs)) if corrs else 0.0
+            head = samples[ptr:ptr + cp]
+            tail = samples[ptr + n_fft:ptr + n_fft + cp]
+            denom = np.linalg.norm(head) * np.linalg.norm(tail)
+            if denom > 0:
+                corrs.append(abs(np.vdot(head, tail)) / denom)
+            ptr += cp + n_fft
+
+
+def reference_demodulate(samples, carrier):
+    n_sc = carrier.n_subcarriers
+    n_fft = carrier.n_fft
+    bins = (np.arange(n_sc) - n_sc // 2) % n_fft
+    cells = []
+    ptr = 0
+    for _ in range(len(samples) // carrier.samples_per_slot):
+        slot = np.zeros((n_sc, prs.SYMBOLS_PER_SLOT), dtype=np.complex128)
+        for l in range(prs.SYMBOLS_PER_SLOT):
+            cp = carrier.cp_length(l)
+            slot[:, l] = (np.fft.fft(samples[ptr + cp:ptr + cp + n_fft]) / n_fft)[bins]
+            ptr += cp + n_fft
+        cells.append(slot)
+    return cells
+
+
+@st.composite
+def modem_cases(draw):
+    """A carrier, 1-3 slot grids of random cells (some cells zero), a shift and
+    a length for the CP metric's buffers."""
+    n_rb = draw(st.integers(1, 8))
+    # from 15 on every symbol has a prefix, without which the reference fails
+    n_fft = draw(st.integers(max(12 * n_rb, 15), 12 * n_rb + 80))
+    carrier = CarrierConfig(n_rb=n_rb, n_fft=n_fft)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    grids = []
+    for _ in range(draw(st.integers(1, 3))):
+        grid = ResourceGrid.empty(carrier)
+        shape = grid.cells.shape
+        grid.cells[:] = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                         ) * (rng.random(shape) < draw(st.sampled_from([0.1, 1.0])))
+        grids.append(grid)
+    n = len(grids) * carrier.samples_per_slot
+    return carrier, grids, draw(st.integers(1, n - 1)), draw(st.integers(1, n))
+
+
+class TestModemMatchesPerSymbolLoops:
+    @settings(max_examples=60, deadline=None)
+    @given(case=modem_cases())
+    def test_modulate_demodulate_and_cp_metric(self, case):
+        carrier, grids, shift, length = case
+        ref = reference_modulate(grids, carrier)
+        buf = ofdm_modulate(grids, carrier)
+        np.testing.assert_array_equal(buf.samples, ref)
+        rolled = np.roll(ref, shift)
+        partial = np.concatenate([ref, rolled[:length]])
+        for samples in (ref, rolled, ref[:length], rolled[:length], partial):
+            assert cp_alignment_metric(samples, carrier) == pytest.approx(
+                reference_cp_metric(samples, carrier), rel=0, abs=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the rolled copy is misaligned
+            for samples in (ref, rolled):
+                back = ofdm_demodulate(SignalBuffer(samples, carrier.sample_rate_hz), carrier)
+                for grid, cells in zip(back, reference_demodulate(samples, carrier),
+                                       strict=True):
+                    np.testing.assert_array_equal(grid.cells, cells)
