@@ -5,7 +5,10 @@ R_c * (t_n - tau(t_n)), tau being D[k, t] - D_min interpolated to the sample,
 so the delay varies in time and the code carries its Doppler.  A table lookup
 by the chip pattern around that phase and its fraction gives the band-limited
 chip waveform.  Paths are scaled by their coefficients and summed over
-sources; the sum is mixed to the intermediate frequency once, then noise added.
+sources; the sum is mixed to the intermediate frequency once, then noise added
+(dsp.add_awgn: all I draws, then all Q).  synthesize does this BLOCK_SAMPLES at a
+time.  A path's chip rows are anchored once, on its code phases at the first and
+last sample, which bound all others for |dD/dt| < 1; so blocks change no bit.
 """
 
 from __future__ import annotations
@@ -18,10 +21,11 @@ import numpy as np
 from scipy import signal as sig
 
 from . import prn
-from .channel import ChannelSet, earliest_delay_s, resample_coefficients
-from .dsp import SignalBuffer, add_awgn, mix_carrier
+from .channel import ChannelSet, _interp, _time_axes, earliest_delay_s
+from .dsp import SignalBuffer, _phasor, add_awgn, mix_carrier
 
 HAPS_DEFAULTS = dict(f_s_hz=38.192e6, f_if_hz=15e6, r_c_hz=10.23e6)
+BLOCK_SAMPLES = 16 * 1024  # synthesize's block: cache-sized, a multiple of _phasor's period
 
 
 @dataclass(frozen=True)
@@ -102,16 +106,15 @@ def _pulse_table(r_c_hz: float, f_s_hz: float) -> np.ndarray:
     return table.ravel()
 
 
-def _code_baseband(code: prn.SpreadingCode, cfg: CdmaGenConfig,
-                   delay_s: np.ndarray) -> np.ndarray:
-    """Code NCO: the real band-limited chip waveform for per-sample delays.
-    Chip m is centred on code phase m.  Code and data run on before the first
-    and after the last sample, so a delayed path has no gap and no wrap."""
+def _code_nco(code: prn.SpreadingCode, cfg: CdmaGenConfig, t_ends, delay_ends):
+    """Code NCO: maps sample times t and delays tau to the band-limited chip waveform
+    at code phase R_c (t - tau), which must lie between its values at t_ends, delay_ends.
+    Chip m is centred on phase m; code and data run on past both ends (no gap, no wrap)."""
     q = 1 << PHASE_BITS
-    phase = np.arange(len(delay_s)) / cfg.f_s_hz - delay_s
-    phase *= cfg.r_c_hz * q
-    first = math.floor(phase.min() / q) - PULSE_HALF_SPAN
-    m = np.arange(first, math.ceil(phase.max() / q) + PULSE_HALF_SPAN + 1)
+    scale = cfg.r_c_hz * q  # phases count 1/q chips
+    phase_lo, phase_hi = (t_ends - delay_ends) * scale
+    first = math.floor(phase_lo / q) - PULSE_HALF_SPAN
+    m = np.arange(first, math.ceil(phase_hi / q) + PULSE_HALF_SPAN + 1)
     chips = code.chips[m % prn.CODE_LENGTH]
     if cfg.modulate_data:
         per_bit = round(cfg.t_d_s * cfg.r_c_hz)
@@ -121,35 +124,48 @@ def _code_baseband(code: prn.SpreadingCode, cfg: CdmaGenConfig,
     # table row of each chip's pattern; u = round(phase * q) counted from it
     rows = np.correlate((chips < 0).astype(np.int64),
                         q << np.arange(2 * PULSE_HALF_SPAN + 1), "valid")
-    u = (phase + (q / 2 - (first + PULSE_HALF_SPAN) * q)).astype(np.int64)
-    return _pulse_table(cfg.r_c_hz, cfg.f_s_hz)[rows[u >> PHASE_BITS] + (u & (q - 1))]
+    offset = q / 2 - (first + PULSE_HALF_SPAN) * q
+
+    def baseband(t: np.ndarray, delay_s) -> np.ndarray:
+        u = ((t - delay_s) * scale + offset).astype(np.int64)
+        return _pulse_table(cfg.r_c_hz, cfg.f_s_hz)[rows[u >> PHASE_BITS] + (u & (q - 1))]
+    return baseband
 
 
 def generate_clean_signal(code: prn.SpreadingCode, cfg: CdmaGenConfig) -> SignalBuffer:
     """Undistorted complex signal at the intermediate frequency for one source."""
     if code.chipping_rate_hz != cfg.r_c_hz:
         raise ValueError("code chipping rate does not match the config")
-    baseband = _code_baseband(code, cfg, np.zeros(cfg.n_samples))
+    t = np.arange(cfg.n_samples) / cfg.f_s_hz
+    baseband = _code_nco(code, cfg, t[[0, -1]], 0.0)(t, 0.0)
     return mix_carrier(SignalBuffer(baseband, cfg.f_s_hz), cfg.f_if_hz)
 
 
 def synthesize(cfg: CdmaGenConfig, channels: ChannelSet) -> SignalBuffer:
     """Every path at baseband from the code NCO, delayed from D_min (earliest_delay_s),
-    scaled by its coefficients and summed; one mix to IF, then optional noise."""
+    scaled by its coefficients and summed a block at a time; one mix to IF, then noise."""
     if not cfg.sources:
         raise ValueError("config lists no sources")
     d_min_s = earliest_delay_s(channels, [sid for _, sid in cfg.sources])
     total = np.zeros(cfg.n_samples, dtype=np.complex128)
+    ends = np.array([0, len(total) - 1]) / cfg.f_s_hz
+    paths = []  # once per path: snapshot axis, IF-delay phase, NCO anchored on both ends
     for prn_id, sid in sorted(cfg.sources, key=lambda s: s[1]):  # fixed order
         code = prn.generate_ca_code(prn_id, chipping_rate_hz=cfg.r_c_hz)
         for path in channels.source(sid).paths:
-            series = resample_coefficients(path, channels.update_rate_hz,
-                                           cfg.f_s_hz, len(total))
-            delay = series.delays_s - d_min_s
+            t_snap = _time_axes(path, channels.update_rate_hz, cfg.f_s_hz, len(total))
+            delay = _interp(ends, t_snap, path.delays_s) - d_min_s
             # e^{-j2 pi f_IF tau[0]}, the old IF-domain delay's constant phase, is kept
-            # only because criteria 3/4 pass on one frozen noise draw (ROADMAP item 2)
-            weighted = series.coefficients * np.exp(-2j * np.pi * cfg.f_if_hz * delay[0])
-            weighted *= _code_baseband(code, cfg, delay)
-            total += weighted
-    out = mix_carrier(SignalBuffer(total, cfg.f_s_hz), cfg.f_if_hz)
+            # only because criteria 3/4 pass on one frozen noise draw (ROADMAP item 1)
+            rotation = np.exp(-2j * np.pi * cfg.f_if_hz * delay[0])
+            paths.append((path, t_snap, rotation, _code_nco(code, cfg, ends, delay)))
+    for start in range(0, len(total), BLOCK_SAMPLES):
+        stop = min(start + BLOCK_SAMPLES, len(total))
+        t = np.arange(start, stop) / cfg.f_s_hz
+        for path, t_snap, rotation, nco in paths:
+            weighted = _interp(t, t_snap, path.coefficients) * rotation
+            weighted *= nco(t, _interp(t, t_snap, path.delays_s) - d_min_s)
+            total[start:stop] += weighted
+        total[start:stop] *= _phasor(cfg.f_if_hz / cfg.f_s_hz, stop - start, 0.0, start)
+    out = SignalBuffer(total, cfg.f_s_hz, if_offset_hz=cfg.f_if_hz)
     return add_awgn(out, cfg.noise_power_dbw, cfg.noise_seed)

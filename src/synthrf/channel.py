@@ -322,7 +322,7 @@ def load_channel(path) -> ChannelSet:
 # Coefficient resampling and Doppler spectrum
 
 def _time_axes(series: PathSeries, f_ch: float, target_rate_hz: float, n_samples: int):
-    """Checked sample and snapshot times for np.interp from the f_ch grid to the signal rate."""
+    """Checked snapshot times for interpolating the f_ch grid onto n_samples at the signal rate."""
     if target_rate_hz < f_ch:
         raise ValueError("target_rate_hz must be at least f_ch")
     duration = series.n_snapshots / f_ch
@@ -330,16 +330,24 @@ def _time_axes(series: PathSeries, f_ch: float, target_rate_hz: float, n_samples
         raise ValueError(
             f"n_samples={n_samples} exceeds channel duration {duration} s "
             f"at {target_rate_hz} Hz by more than one snapshot")
-    return np.arange(n_samples) / target_rate_hz, np.arange(series.n_snapshots) / f_ch
+    return np.arange(series.n_snapshots) / f_ch
+
+
+def _interp(t: np.ndarray, t_snap: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """np.interp at ascending t over just the snapshots around it: same bits, O(len(t))."""
+    lo = np.searchsorted(t_snap, t[0], "right") - 1
+    hi = np.searchsorted(t_snap, t[-1]) + 1
+    return np.interp(t, t_snap[lo:hi], values[lo:hi])
 
 
 def resample_coefficients(series: PathSeries, f_ch: float, target_rate_hz: float,
                           n_samples: int) -> PathSeries:
     """Linearly interpolate H and D from the f_ch grid onto the signal rate,
     holding the last snapshot value beyond the end of the series."""
-    t_out, t_snap = _time_axes(series, f_ch, target_rate_hz, n_samples)
-    return PathSeries(coefficients=np.interp(t_out, t_snap, series.coefficients),
-                      delays_s=np.interp(t_out, t_snap, series.delays_s))
+    t_snap = _time_axes(series, f_ch, target_rate_hz, n_samples)
+    t_out = np.arange(n_samples) / target_rate_hz
+    return PathSeries(coefficients=_interp(t_out, t_snap, series.coefficients),
+                      delays_s=_interp(t_out, t_snap, series.delays_s))
 
 
 @dataclass(frozen=True)
@@ -406,7 +414,8 @@ def propagate_and_sum(clean: dict[str, SignalBuffer], channels: ChannelSet,
         src = channels.source(sid)
         for path in src.paths:
             delayed = fractional_delay(clean[sid], path.delays_s[0] - d_min_s)
-            coeff = np.interp(*_time_axes(path, channels.update_rate_hz, f_s, n), path.coefficients)
+            coeff = _interp(np.arange(n) / f_s, _time_axes(path, channels.update_rate_hz, f_s, n),
+                            path.coefficients)
             total += delayed.samples * coeff  # named: numpy's temporary reuse rounds differently
     ref = bufs[0]
     return SignalBuffer(samples=total, sample_rate_hz=f_s,

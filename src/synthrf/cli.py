@@ -36,10 +36,10 @@ def _load_json(path) -> dict:
 
 def _build(fn, cfg, where: str, **fixed):
     """fn(**cfg, **fixed) once cfg fits fn's signature: each key names a parameter
-    fixed leaves open (or goes to **kwargs, which lets a lambda split off JSON-only
+    fixed leaves open (or goes to **kwargs, which lets a function split off JSON-only
     keys), none without a default is missing, int-annotated values pass through
-    int() and float-annotated ones are numbers; else a ConfigError naming where
-    and the field."""
+    int() and float-annotated ones are numbers (or null where the default is None);
+    else a ConfigError naming where and the field."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"{where}: expected a JSON object, got {cfg!r}")
     params = {n: p for n, p in inspect.signature(fn).parameters.items() if n not in fixed}
@@ -55,7 +55,7 @@ def _build(fn, cfg, where: str, **fixed):
                 kwargs[key] = int(value)
             except (TypeError, ValueError, OverflowError):
                 raise ConfigError(f"{where}: field '{key}' must be an integer") from None
-        elif p.annotation in (float, "float") and (
+        elif p.annotation in (float, "float") and (value is not None or p.default is not None) and (
                 isinstance(value, bool) or not isinstance(value, (int, float))):
             raise ConfigError(f"{where}: field '{key}' must be a number")
     for name, p in params.items():
@@ -65,7 +65,9 @@ def _build(fn, cfg, where: str, **fixed):
 
 
 def _path_spec(cfg, where: str) -> channel.PathSpec:
-    k_db, fields = _build(lambda rician_k_db=None, **fields: (rician_k_db, fields), cfg, where)
+    def split(rician_k_db: float = None, **fields):
+        return rician_k_db, fields
+    k_db, fields = _build(split, cfg, where)
     k = channel.PathSpec.rician_k if k_db is None else 10.0 ** (k_db / 10.0)
     return _build(channel.PathSpec, fields, where, rician_k=k)
 
@@ -77,9 +79,9 @@ def _source_spec(cfg, where: str) -> channel.SourceSpec:
 
 
 def cmd_gen_channel(args) -> int:
-    sources, f_ch_hz, fields = _build(
-        lambda sources, f_ch_hz=channel.ChannelSpec.update_rate_hz, **fields:
-        (sources, f_ch_hz, fields), _load_json(args.spec), "channel spec")
+    def split(sources, f_ch_hz: float = channel.ChannelSpec.update_rate_hz, **fields):
+        return sources, f_ch_hz, fields
+    sources, f_ch_hz, fields = _build(split, _load_json(args.spec), "channel spec")
     if args.seed is not None:
         fields["seed"] = args.seed
     spec = _build(channel.ChannelSpec, fields, "channel spec", update_rate_hz=f_ch_hz,

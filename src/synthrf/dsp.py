@@ -40,12 +40,12 @@ def mix_carrier(buf: SignalBuffer, freq_hz: float, phase_rad: float = 0.0) -> Si
                    if_offset_hz=buf.if_offset_hz + freq_hz)
 
 
-def _phasor(cycles: float, n: int, phase_rad: float = 0.0) -> np.ndarray:
-    """e^{j(2π·cycles·m + phase_rad)}, m = 0..n-1: a 1024-sample table times one
-    phasor per block, whose phase is reduced mod 1 from cycles split into a float32
-    head (exact times the block start) and the rest, so it holds for any cycles·n."""
-    p = min(n, 1024)
-    starts = p * np.arange(-(-n // p))
+def _phasor(cycles: float, n: int, phase_rad: float = 0.0, start: int = 0) -> np.ndarray:
+    """e^{j(2π·cycles·m + phase_rad)}, m = start..start+n-1: a 1024-sample table times one
+    phasor per block, its phase reduced mod 1 from cycles split into a float32 head (exact
+    times the block start) and the rest; a start in whole 1024s gives one call's chunk exactly."""
+    p = min(start + n, 1024)
+    starts = start + p * np.arange(-(-n // p))
     head = float(np.float32(cycles))
     block = np.exp(2j * np.pi * ((head * starts % 1.0 + (cycles - head) * starts) % 1.0)
                    + 1j * phase_rad)
@@ -90,9 +90,12 @@ def add_awgn(buf: SignalBuffer, noise_power_dbw: float, seed: int) -> SignalBuff
     power = 10.0 ** (noise_power_dbw / 10.0)
     sigma = np.sqrt(power / 2.0)
     rng = np.random.default_rng(seed)
-    n = len(buf.samples)
-    noise = sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return replace(buf, samples=buf.samples + noise)
+    noise = np.empty(len(buf.samples), dtype=np.complex128)
+    noise.real = rng.standard_normal(len(noise))  # all I, then all Q
+    noise.imag = rng.standard_normal(len(noise))
+    noise *= sigma
+    noise += buf.samples
+    return replace(buf, samples=noise)
 
 
 def fft_correlate(a, b) -> np.ndarray:

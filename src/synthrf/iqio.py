@@ -27,9 +27,7 @@ def write_iq(path, buf: SignalBuffer, metadata: dict | None = None,
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}")
     path = Path(path)
-    interleaved = np.empty(2 * len(buf), dtype=np.float64)
-    interleaved[0::2] = buf.samples.real
-    interleaved[1::2] = buf.samples.imag
+    interleaved = np.ascontiguousarray(buf.samples).view(np.float64)  # I, Q, I, Q, ...
     if fmt == "f32":
         raw = interleaved.astype("<f4")
     else:
@@ -38,7 +36,7 @@ def write_iq(path, buf: SignalBuffer, metadata: dict | None = None,
             i16_full_scale = float(2.0 ** np.ceil(np.log2(peak))) if peak > 0 else 1.0
         scaled = np.clip(interleaved / i16_full_scale, -1.0, 1.0)
         raw = np.round(scaled * 32767.0).astype("<i2")
-    path.write_bytes(raw.tobytes())
+    path.write_bytes(raw)
     meta = {
         "format": fmt,
         "sample_rate_hz": buf.sample_rate_hz,
@@ -79,8 +77,7 @@ def read_iq(path) -> tuple[SignalBuffer, dict]:
     interleaved = np.frombuffer(raw, dtype=dtype).astype(np.float64)
     if fmt == "i16":
         interleaved = interleaved / 32767.0 * float(meta["full_scale"])
-    samples = interleaved[0::2] + 1j * interleaved[1::2]
-    buf = SignalBuffer(samples, float(meta["sample_rate_hz"]),
+    buf = SignalBuffer(interleaved.view(np.complex128), float(meta["sample_rate_hz"]),
                        if_offset_hz=float(meta["if_offset_hz"]),
                        epoch_s=float(meta.get("epoch_s", 0.0)))
     return buf, meta

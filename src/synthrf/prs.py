@@ -55,6 +55,8 @@ class CarrierConfig:
             raise ValueError("n_rb must be at least 1")
         if self.n_fft < 12 * self.n_rb:
             raise ValueError("n_fft must be at least 12*n_rb")
+        if self.cp_length(1) < 1:  # the modem would drop the short prefix silently
+            raise ValueError(f"n_fft={self.n_fft} gives a 0-sample cyclic prefix; use 15 or more")
 
     @property
     def n_subcarriers(self) -> int:

@@ -1,18 +1,22 @@
 """CDMA-BPSK synthesis: config validation, clean-signal structure, the code
 NCO against a resampled reference, time-varying delay, channel application,
-and determinism."""
+determinism, block rendering against a whole-array reference, and memory."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import signal
 
 from synthrf import cdma, dsp, prn, receiver
 from synthrf.cdma import CdmaGenConfig, HAPS_DEFAULTS
-from synthrf.channel import ChannelSpec, generate_synthetic_channel
+from synthrf.channel import (ChannelSpec, PathSpec, SourceSpec, earliest_delay_s,
+                             generate_synthetic_channel)
 
-from conftest import los_source, make_los_channel
+from conftest import cn0_to_noise_dbw, los_source, make_los_channel
 
 
 def sat_config(**kw):
@@ -188,3 +192,146 @@ class TestCodeNco:
         slope = np.polyfit((np.arange(20) + 0.5) * 1e-3,
                            np.array(lags) / cfg.f_s_hz, 1)[0]
         assert slope == pytest.approx(rate, rel=0.02)
+
+
+# --- whole-array reference: the path loop as it ran before block rendering ---
+
+def reference_code_baseband(code, cfg, delay_s):
+    """Code NCO over one full-length delay array, anchored on its own extremes."""
+    q = 1 << cdma.PHASE_BITS
+    span = cdma.PULSE_HALF_SPAN
+    phase = np.arange(len(delay_s)) / cfg.f_s_hz - delay_s
+    phase *= cfg.r_c_hz * q
+    first = math.floor(phase.min() / q) - span
+    m = np.arange(first, math.ceil(phase.max() / q) + span + 1)
+    chips = code.chips[m % prn.CODE_LENGTH]
+    if cfg.modulate_data:
+        per_bit = round(cfg.t_d_s * cfg.r_c_hz)
+        n_bits = math.ceil((math.ceil(cfg.duration_s * cfg.r_c_hz) + 1) / per_bit)
+        bits = np.random.default_rng((cfg.data_seed, code.prn_id)).integers(0, 2, n_bits)
+        chips = chips * (1.0 - 2.0 * bits)[m // per_bit % n_bits]
+    rows = np.correlate((chips < 0).astype(np.int64), q << np.arange(2 * span + 1), "valid")
+    u = (phase + (q / 2 - (first + span) * q)).astype(np.int64)
+    return cdma._pulse_table(cfg.r_c_hz, cfg.f_s_hz)[rows[u >> cdma.PHASE_BITS] + (u & (q - 1))]
+
+
+def reference_synthesize(cfg, channels):
+    """Every path over the whole scene at once, one full-length mix to IF, and
+    noise drawn as sigma * (I + jQ) and added."""
+    d_min_s = earliest_delay_s(channels, [sid for _, sid in cfg.sources])
+    n = cfg.n_samples
+    t = np.arange(n) / cfg.f_s_hz
+    total = np.zeros(n, dtype=np.complex128)
+    for prn_id, sid in sorted(cfg.sources, key=lambda s: s[1]):
+        code = prn.generate_ca_code(prn_id, chipping_rate_hz=cfg.r_c_hz)
+        for path in channels.source(sid).paths:
+            t_snap = np.arange(path.n_snapshots) / channels.update_rate_hz
+            coefficients = np.interp(t, t_snap, path.coefficients)
+            delay = np.interp(t, t_snap, path.delays_s) - d_min_s
+            weighted = coefficients * np.exp(-2j * np.pi * cfg.f_if_hz * delay[0])
+            weighted *= reference_code_baseband(code, cfg, delay)
+            total += weighted
+    out = dsp.mix_carrier(dsp.SignalBuffer(total, cfg.f_s_hz), cfg.f_if_hz).samples
+    if cfg.noise_power_dbw == -math.inf:
+        return out
+    sigma = np.sqrt(10.0 ** (cfg.noise_power_dbw / 10.0) / 2.0)
+    rng = np.random.default_rng(cfg.noise_seed)
+    return out + sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+@st.composite
+def block_cases(draw):
+    """A scene of one or two sources (the first with an echo), its config and a
+    block size: whole 1024s, dividing the scene's length or not."""
+    haps = draw(st.booleans())
+    rates = HAPS_DEFAULTS if haps else {}
+    duration = draw(st.sampled_from([0.001, 0.0023, 0.004]))
+    delay_rate = st.floats(-1e-4, 1e-4)
+    sources = []
+    for i in range(draw(st.integers(1, 2))):
+        delay = draw(st.floats(1e-6, 3e-5))
+        paths = [PathSpec(initial_delay_s=delay, delay_rate=draw(delay_rate),
+                          doppler_hz=draw(st.floats(-5e3, 5e3)))]
+        if i == 0 and draw(st.booleans()):
+            paths.append(PathSpec(initial_delay_s=delay + draw(st.floats(1e-7, 3e-6)),
+                                  delay_rate=draw(delay_rate), mean_power_db=-6.0,
+                                  doppler_hz=draw(st.floats(-5e3, 5e3)), rician_k=0.0,
+                                  fading_doppler_hz=100.0))
+        sources.append(SourceSpec(f"s{i + 1}", "satellite", True, tuple(paths)))
+    channels = generate_synthetic_channel(ChannelSpec(
+        sources=tuple(sources), update_rate_hz=40e3, duration_s=duration,
+        seed=draw(st.integers(0, 1000))))
+    noise = draw(st.sampled_from([-math.inf, -10.0]))
+    cfg = CdmaGenConfig(duration_s=duration, t_d_s=0.001,
+                        sources=tuple((3 + 4 * i, s.source_id) for i, s in enumerate(sources)),
+                        modulate_data=draw(st.booleans()), data_seed=draw(st.integers(0, 99)),
+                        noise_power_dbw=noise, noise_seed=draw(st.integers(0, 99)), **rates)
+    block = 1024 * draw(st.sampled_from([1, 3, 5, 16, 37, 64, 256]))
+    return cfg, channels, block
+
+
+def anchor_rounding_case():
+    """A 1 ms scene whose second source, 2.3876... us late, has code phase 130401 -
+    2**-36 (in 1/256 chip) at sample 19108.  Offset by the whole path's anchor, that
+    phase crosses 2**17 and rounds up to the next table index; offset by the anchor
+    of the sample's own block, it would not."""
+    sources = (los_source("s1", 0.0, 1000.0), los_source("s2", 2.3876073523250788e-06, -500.0))
+    channels = generate_synthetic_channel(ChannelSpec(sources=sources, update_rate_hz=40e3,
+                                                      duration_s=0.001, seed=0))
+    return sat_config(sources=((3, "s1"), (7, "s2")), modulate_data=False), channels, 5 * 1024
+
+
+class TestBlockRendering:
+    @settings(max_examples=40, deadline=None)
+    @given(case=block_cases())
+    @example(case=anchor_rounding_case())
+    def test_blocks_change_no_output_bit(self, case):
+        cfg, channels, block = case
+        with mock.patch.object(cdma, "BLOCK_SAMPLES", block):
+            got = cdma.synthesize(cfg, channels).samples
+        want = reference_synthesize(cfg, channels)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_clean_signal_matches_the_reference_nco(self):
+        cfg = sat_config(duration_s=0.003, t_d_s=0.001, data_seed=4)
+        code = prn.generate_ca_code(7)
+        want = dsp.mix_carrier(dsp.SignalBuffer(reference_code_baseband(
+            code, cfg, np.zeros(cfg.n_samples)), cfg.f_s_hz), cfg.f_if_hz).samples
+        got = cdma.generate_clean_signal(code, cfg).samples
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def scene_a_30ms():
+    """The benchmark's cdma_scene geometry: 4 LOS satellites, a -10 dB echo
+    two chips behind the second, and a -30 dB NLOS source, 30 ms at 50 dB-Hz."""
+    los = [(10e-6, -3000.0), (12e-6, -1000.0), (15e-6, 1500.0), (19e-6, 4000.0)]
+    sources = []
+    for i, (delay, f_d) in enumerate(los):
+        paths = [PathSpec(initial_delay_s=delay, doppler_hz=f_d, delay_rate=-f_d / 1575.42e6)]
+        if i == 1:
+            paths.append(PathSpec(initial_delay_s=delay + 2.0 / 1.023e6, doppler_hz=f_d,
+                                  delay_rate=-f_d / 1575.42e6, mean_power_db=-10.0,
+                                  fading_doppler_hz=50.0))
+        sources.append(SourceSpec(f"s{i + 1}", "satellite", True, tuple(paths)))
+    sources.append(SourceSpec("n1", "satellite", False, (PathSpec(
+        initial_delay_s=14e-6, doppler_hz=800.0, delay_rate=-800.0 / 1575.42e6,
+        mean_power_db=-30.0, fading_doppler_hz=400.0),)))
+    channels = generate_synthetic_channel(ChannelSpec(
+        sources=tuple(sources), update_rate_hz=40e3, duration_s=0.03, seed=1000))
+    cfg = CdmaGenConfig(duration_s=0.03, data_seed=1000, noise_seed=1001,
+                        noise_power_dbw=cn0_to_noise_dbw(38.192e6, 50.0),
+                        sources=((2, "s1"), (5, "s2"), (11, "s3"), (23, "s4"), (29, "n1")))
+    return cfg, channels
+
+
+def test_synthesis_peak_allocation_per_sample():
+    # the output and the noise draws are full length; everything per path is a block
+    cfg, channels = scene_a_30ms()
+    tracemalloc.start()
+    try:
+        buf = cdma.synthesize(cfg, channels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(buf) == 1145760
+    assert peak / len(buf) <= 64.0

@@ -325,6 +325,18 @@ class TestStrictSchema:
         assert run_with(tmp_path, workdir, which, cfg) == 2
         assert f"field '{key}' must be a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("route,key,where", [
+        ((), "f_ch_hz", "channel spec"),
+        (("sources", 0, "paths", 0), "rician_k_db", "channel spec source[0] path[0]"),
+    ])
+    def test_non_number_for_a_split_off_key_is_usage_error(self, workdir, tmp_path, capsys,
+                                                           route, key, where):
+        # keys taken out of the JSON object before the dataclass sees the rest
+        cfg, obj = copy_at(CHANNEL_SPEC, route)
+        obj[key] = "x"
+        assert run_with(tmp_path, workdir, "spec", cfg) == 2
+        assert f"{where}: field '{key}' must be a number" in capsys.readouterr().err
+
     @pytest.mark.parametrize("which,route,key,value,message", [
         ("cdma", (), "r_c_hz", 0, "r_c_hz must be positive"),
         ("cdma", (), "t_d_s", 0, "t_d_s must be positive"),
@@ -343,6 +355,12 @@ class TestStrictSchema:
         cfg = dict(CDMA_CONFIG, sources=[[5, "sat1"]])
         assert run_with(tmp_path, workdir, "cdma", cfg) == 2
         assert "cdma config source[0]: expected a JSON object" in capsys.readouterr().err
+
+    def test_carrier_without_a_cyclic_prefix_is_a_runtime_error(self, workdir, tmp_path, capsys):
+        cfg, carrier = copy_at(PRS_CONFIG, ("carrier",))
+        carrier.update(n_rb=1, n_fft=13)
+        assert run_with(tmp_path, workdir, "prs", cfg) == 1
+        assert "n_fft=13 gives a 0-sample cyclic prefix" in capsys.readouterr().err
 
     def test_bad_value_stays_a_runtime_error(self, workdir, tmp_path, capsys):
         cfg, source = copy_at(PRS_CONFIG, ("sources", 0))

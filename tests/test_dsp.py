@@ -3,6 +3,7 @@ correlation."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from synthrf import dsp
 from synthrf.dsp import SignalBuffer
@@ -121,6 +122,15 @@ class TestPhasor:
         assert np.max(np.abs(mixed.samples - expected)) <= 1e-12
         assert mixed.if_offset_hz == freq_hz
 
+    @settings(max_examples=60, deadline=None)
+    @given(cycles=st.floats(-0.5, 0.5), n=st.integers(1, 20000),
+           chunk=st.sampled_from([1024, 2048, 3072, 7168]), phase_rad=st.floats(-4.0, 4.0))
+    def test_chunks_from_their_start_concatenate_to_one_call(self, cycles, n, chunk, phase_rad):
+        whole = dsp._phasor(cycles, n, phase_rad)
+        parts = np.concatenate([dsp._phasor(cycles, min(chunk, n - start), phase_rad, start)
+                                for start in range(0, n, chunk)])
+        assert np.array_equal(parts.view(np.uint64), whole.view(np.uint64))
+
 
 class TestAddAwgn:
     def test_noise_power_matches_request(self):
@@ -141,6 +151,17 @@ class TestAddAwgn:
         c = dsp.add_awgn(buf, 0.0, seed=8)
         np.testing.assert_array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
+
+    @pytest.mark.parametrize("noise_power_dbw", [-13.0, 6.0])
+    def test_draws_all_i_then_all_q(self, noise_power_dbw):
+        # bit for bit the formula sigma * (I + jQ) added to the samples
+        buf = tone(1234.5, 1e6, 0.01, amplitude=0.7)
+        sigma = np.sqrt(10.0 ** (noise_power_dbw / 10.0) / 2.0)
+        rng = np.random.default_rng(5)
+        n = len(buf)
+        want = buf.samples + sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        got = dsp.add_awgn(buf, noise_power_dbw, seed=5).samples
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestFftCorrelate:

@@ -103,3 +103,32 @@ def test_sidecar_without_a_required_field_rejected(tmp_path, key):
     with pytest.raises(ValueError, match=f"missing field '{key}'") as exc:
         iqio.read_iq(path)
     assert str(side) in str(exc.value)
+
+
+def interleaved_formula(samples):
+    """I, Q, I, Q, ... as float64, built element by element."""
+    out = np.empty(2 * len(samples), dtype=np.float64)
+    out[0::2] = samples.real
+    out[1::2] = samples.imag
+    return out
+
+
+@pytest.mark.parametrize("fmt,full_scale", [("f32", None), ("i16", None), ("i16", 4.0)])
+@pytest.mark.parametrize("stride", [1, 3])  # 3: a non-contiguous view of a longer array
+def test_bytes_and_samples_match_the_interleaving_formulas(tmp_path, rng, fmt, full_scale,
+                                                           stride):
+    x = 2.5 * (rng.standard_normal(3000) + 1j * rng.standard_normal(3000))
+    buf = SignalBuffer(x[::stride], 1e6)
+    path = tmp_path / "rec.iq"
+    iqio.write_iq(path, buf, fmt=fmt, i16_full_scale=full_scale)
+    back, meta = iqio.read_iq(path)
+    interleaved = interleaved_formula(buf.samples)
+    if fmt == "f32":
+        raw = interleaved.astype("<f4")
+        values = raw.astype(np.float64)
+    else:
+        scale = meta["full_scale"]
+        raw = np.round(np.clip(interleaved / scale, -1.0, 1.0) * 32767.0).astype("<i2")
+        values = raw.astype(np.float64) / 32767.0 * scale
+    assert path.read_bytes() == raw.tobytes()
+    np.testing.assert_array_equal(back.samples, values[0::2] + 1j * values[1::2])

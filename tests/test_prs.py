@@ -62,6 +62,24 @@ class TestCarrierConfig:
         with pytest.raises(ValueError, match=message):
             CarrierConfig(**{"n_rb": 1, "n_fft": 16, field: value})
 
+    @pytest.mark.parametrize("n_fft", [12, 13, 14])
+    def test_rejects_a_carrier_without_a_cyclic_prefix(self, n_fft):
+        # 144 * n_fft // 2048 is 0: the modem would drop the short prefix
+        with pytest.raises(ValueError, match=f"n_fft={n_fft} gives a 0-sample cyclic prefix"):
+            CarrierConfig(n_rb=1, n_fft=n_fft)
+
+    def test_shortest_carrier_with_a_prefix_round_trips(self):
+        carrier = CarrierConfig(n_rb=1, n_fft=15)
+        assert [carrier.cp_length(l) for l in (0, 1)] == [1, 1]
+        grid = ResourceGrid.empty(carrier)
+        rng = np.random.default_rng(3)
+        grid.cells[:] = rng.standard_normal(grid.cells.shape) + 1j * rng.standard_normal(
+            grid.cells.shape)
+        buf = ofdm_modulate([grid], carrier)
+        assert len(buf) == carrier.samples_per_slot == 14 * 16
+        (back,) = ofdm_demodulate(buf, carrier)
+        np.testing.assert_allclose(back.cells, grid.cells, rtol=0, atol=1e-12)
+
     def test_eq1_sample_rate(self):
         carrier = CarrierConfig(n_cell_id=0)
         assert carrier.sample_rate_hz == 1024 * 15e3 == 15.36e6
