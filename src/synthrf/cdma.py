@@ -5,10 +5,11 @@ R_c * (t_n - tau(t_n)), tau being D[k, t] - D_min interpolated to the sample,
 so the delay varies in time and the code carries its Doppler.  A table lookup
 by the chip pattern around that phase and its fraction gives the band-limited
 chip waveform.  Paths are scaled by their coefficients and summed over
-sources; the sum is mixed to the intermediate frequency once, then noise added
-(dsp.add_awgn: all I draws, then all Q).  synthesize does this BLOCK_SAMPLES at a
-time.  A path's chip rows are anchored once, on its code phases at the first and
-last sample, which bound all others for |dD/dt| < 1; so blocks change no bit.
+sources; the sum is mixed to the intermediate frequency once.  synthesize does this
+dsp.BLOCK_SAMPLES at a time, then adds noise to the sum in place, a block of draws at
+a time (all I, then all Q), so only the output is full length.  A path's chip rows
+are anchored once, on its code phases at the first and last sample, which bound all
+others for |dD/dt| < 1; so blocks change no bit.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ from scipy import signal as sig
 
 from . import prn
 from .channel import ChannelSet, _interp, _time_axes, earliest_delay_s
-from .dsp import SignalBuffer, _phasor, add_awgn, mix_carrier
+from .dsp import BLOCK_SAMPLES, SignalBuffer, _add_noise, _phasor, mix_carrier
 
 HAPS_DEFAULTS = dict(f_s_hz=38.192e6, f_if_hz=15e6, r_c_hz=10.23e6)
-BLOCK_SAMPLES = 16 * 1024  # synthesize's block: cache-sized, a multiple of _phasor's period
 
 
 @dataclass(frozen=True)
@@ -167,5 +167,5 @@ def synthesize(cfg: CdmaGenConfig, channels: ChannelSet) -> SignalBuffer:
             weighted *= nco(t, _interp(t, t_snap, path.delays_s) - d_min_s)
             total[start:stop] += weighted
         total[start:stop] *= _phasor(cfg.f_if_hz / cfg.f_s_hz, stop - start, 0.0, start)
-    out = SignalBuffer(total, cfg.f_s_hz, if_offset_hz=cfg.f_if_hz)
-    return add_awgn(out, cfg.noise_power_dbw, cfg.noise_seed)
+    _add_noise(total, cfg.noise_power_dbw, cfg.noise_seed)
+    return SignalBuffer(total, cfg.f_s_hz, if_offset_hz=cfg.f_if_hz)

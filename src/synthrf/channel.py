@@ -7,13 +7,14 @@ the channel update rate f_ch.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dsp import SignalBuffer, fractional_delay
+from .dsp import BLOCK_SAMPLES, SignalBuffer, _delay_into
 
 CHANNEL_FILE_MAGIC = "SYNTHRF-CHAN v1"
 SOURCE_KINDS = ("satellite", "haps", "gnb")
@@ -398,25 +399,28 @@ def propagate_and_sum(clean: dict[str, SignalBuffer], channels: ChannelSet,
     if not clean:
         raise ValueError("no clean signals supplied")
     bufs = list(clean.values())
-    f_s = bufs[0].sample_rate_hz
-    n = len(bufs[0])
+    f_s, n = bufs[0].sample_rate_hz, len(bufs[0])
     for buf in bufs[1:]:
         if buf.sample_rate_hz != f_s or len(buf) != n:
             raise ValueError("all clean signals must share sample rate and length")
-    for sid in clean:
-        channels.source(sid)  # raises KeyError on mismatch
-    if n / f_s > channels.duration_s + 1.0 / channels.update_rate_hz:
-        raise ValueError("channel set is shorter than the signal")
     if d_min_s is None:
         d_min_s = earliest_delay_s(channels, clean)
     total = np.zeros(n, dtype=np.complex128)
     for sid in sorted(clean):  # fixed order for bit-reproducibility
-        src = channels.source(sid)
-        for path in src.paths:
-            delayed = fractional_delay(clean[sid], path.delays_s[0] - d_min_s)
-            coeff = _interp(np.arange(n) / f_s, _time_axes(path, channels.update_rate_hz, f_s, n),
-                            path.coefficients)
-            total += delayed.samples * coeff  # named: numpy's temporary reuse rounds differently
-    ref = bufs[0]
-    return SignalBuffer(samples=total, sample_rate_hz=f_s,
-                        if_offset_hz=ref.if_offset_hz, epoch_s=ref.epoch_s)
+        _render_source(total, clean[sid].samples, channels, sid, f_s, d_min_s)
+    return SignalBuffer(total, f_s, bufs[0].if_offset_hz, bufs[0].epoch_s)
+
+
+def _render_source(total: np.ndarray, samples: np.ndarray, channels: ChannelSet, sid: str,
+                   f_s: float, d_min_s: float) -> None:
+    """total += each path of source sid: samples delayed from d_min_s times its coefficients."""
+    n = len(total)
+    spectrum = functools.cache(lambda: np.fft.fft(samples))  # one forward FFT for all paths
+    delayed = np.empty(n, dtype=np.complex128)
+    for path in channels.source(sid).paths:
+        _delay_into(delayed, samples, (path.delays_s[0] - d_min_s) * f_s, spectrum)
+        t_snap = _time_axes(path, channels.update_rate_hz, f_s, n)
+        for a in range(0, n, BLOCK_SAMPLES):
+            b = min(a + BLOCK_SAMPLES, n)
+            coeff = _interp(np.arange(a, b) / f_s, t_snap, path.coefficients)
+            total[a:b] += delayed[a:b] * coeff  # named: numpy's temporary reuse rounds differently

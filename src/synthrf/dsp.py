@@ -7,6 +7,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+BLOCK_SAMPLES = 16 * 1024  # synthesis and I/Q block: cache-sized, a multiple of _phasor's period
+
 
 @dataclass(frozen=True)
 class SignalBuffer:
@@ -60,24 +62,31 @@ def fractional_delay(buf: SignalBuffer, delay_s: float) -> SignalBuffer:
     does not attenuate content near the Nyquist band (the IF carrier sits
     high in the band, so interpolation loss would be severe there).
     """
-    if delay_s < 0:
+    out = np.empty_like(buf.samples)
+    _delay_into(out, buf.samples, delay_s * buf.sample_rate_hz, lambda: np.fft.fft(buf.samples))
+    return replace(buf, samples=out)
+
+
+def _delay_into(out: np.ndarray, x: np.ndarray, shift: float, spectrum) -> None:
+    """out = x delayed by shift samples (fractional_delay); spectrum() returns fft(x)."""
+    if shift < 0:
         raise ValueError("delay_s must be non-negative")
-    n = len(buf.samples)
-    shift = delay_s * buf.sample_rate_hz
+    n = len(x)
     if shift >= n:
         warnings.warn("delay exceeds buffer duration; output is all zeros")
-        return replace(buf, samples=np.zeros(n, dtype=np.complex128))
+        shift = float(n)
     whole = int(np.floor(shift))
     frac = shift - whole
     if frac > 1e-12:
-        x = np.fft.fft(buf.samples)
-        x *= _phasor(-shift / n, n)  # e^{-j2π·k·shift/n}, k = 0..n-1
-        x[(n + 1) // 2:] *= np.exp(2j * np.pi * frac)  # fftfreq is k/n - 1 from bin ⌈n/2⌉ on
-        x = np.fft.ifft(x)
+        x, upper = spectrum(), (n + 1) // 2  # fftfreq is k/n - 1 from bin ⌈n/2⌉ on
+        for a in range(0, n, BLOCK_SAMPLES):
+            b = min(a + BLOCK_SAMPLES, n)
+            np.multiply(x[a:b], _phasor(-shift / n, b - a, 0.0, a), out=out[a:b])
+            out[max(a, upper):b] *= np.exp(2j * np.pi * frac)  # e^{-j2π·fftfreq·shift}
+        np.fft.ifft(out, out=out)
     else:
-        x = np.roll(buf.samples, whole)
-    x[:whole] = 0.0  # either way the delay is circular: blank the wrapped tail
-    return replace(buf, samples=x)
+        out[whole:] = x[:n - whole]
+    out[:whole] = 0.0  # either way the delay is circular: blank the wrapped tail
 
 
 def add_awgn(buf: SignalBuffer, noise_power_dbw: float, seed: int) -> SignalBuffer:
@@ -85,17 +94,20 @@ def add_awgn(buf: SignalBuffer, noise_power_dbw: float, seed: int) -> SignalBuff
 
     A power of -inf disables noise.  Deterministic for a given seed.
     """
+    samples = buf.samples.copy()
+    _add_noise(samples, noise_power_dbw, seed)
+    return replace(buf, samples=samples)
+
+
+def _add_noise(samples: np.ndarray, noise_power_dbw: float, seed: int) -> None:
+    """samples += σ·(I + jQ) in place, drawn BLOCK_SAMPLES at a time: all I, then all Q."""
     if noise_power_dbw == -np.inf:
-        return replace(buf, samples=buf.samples.copy())
-    power = 10.0 ** (noise_power_dbw / 10.0)
-    sigma = np.sqrt(power / 2.0)
+        return
+    sigma = np.sqrt(10.0 ** (noise_power_dbw / 10.0) / 2.0)
     rng = np.random.default_rng(seed)
-    noise = np.empty(len(buf.samples), dtype=np.complex128)
-    noise.real = rng.standard_normal(len(noise))  # all I, then all Q
-    noise.imag = rng.standard_normal(len(noise))
-    noise *= sigma
-    noise += buf.samples
-    return replace(buf, samples=noise)
+    for part in (samples.real, samples.imag):
+        for block in (part[a:a + BLOCK_SAMPLES] for a in range(0, len(part), BLOCK_SAMPLES)):
+            block += sigma * rng.standard_normal(len(block))
 
 
 def fft_correlate(a, b) -> np.ndarray:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import SignalBuffer
+from .dsp import BLOCK_SAMPLES, SignalBuffer
 
 FORMATS = ("f32", "i16")
 
@@ -28,15 +28,14 @@ def write_iq(path, buf: SignalBuffer, metadata: dict | None = None,
         raise ValueError(f"format must be one of {FORMATS}")
     path = Path(path)
     interleaved = np.ascontiguousarray(buf.samples).view(np.float64)  # I, Q, I, Q, ...
-    if fmt == "f32":
-        raw = interleaved.astype("<f4")
-    else:
-        if i16_full_scale is None:
-            peak = float(np.max(np.abs(interleaved)))
-            i16_full_scale = float(2.0 ** np.ceil(np.log2(peak))) if peak > 0 else 1.0
-        scaled = np.clip(interleaved / i16_full_scale, -1.0, 1.0)
-        raw = np.round(scaled * 32767.0).astype("<i2")
-    path.write_bytes(raw)
+    if fmt == "i16" and i16_full_scale is None:
+        peak = max(float(np.max(interleaved)), -float(np.min(interleaved)))
+        i16_full_scale = float(2.0 ** np.ceil(np.log2(peak))) if peak > 0 else 1.0
+    with open(path, "wb") as fh:
+        for a in range(0, len(interleaved), 2 * BLOCK_SAMPLES):
+            block = interleaved[a:a + 2 * BLOCK_SAMPLES]
+            fh.write(block.astype("<f4") if fmt == "f32" else
+                     np.round(np.clip(block / i16_full_scale, -1.0, 1.0) * 32767.0).astype("<i2"))
     meta = {
         "format": fmt,
         "sample_rate_hz": buf.sample_rate_hz,
@@ -70,13 +69,17 @@ def read_iq(path) -> tuple[SignalBuffer, dict]:
     dtype = {"f32": "<f4", "i16": "<i2"}.get(fmt)
     if dtype is None:
         raise ValueError(f"unknown format {fmt!r} in sidecar")
-    raw = path.read_bytes()
     size = 2 * int(meta["n_samples"]) * np.dtype(dtype).itemsize
-    if len(raw) != size:
-        raise ValueError(f"{path}: {len(raw)} bytes, n_samples {meta['n_samples']} needs {size}")
-    interleaved = np.frombuffer(raw, dtype=dtype).astype(np.float64)
-    if fmt == "i16":
-        interleaved = interleaved / 32767.0 * float(meta["full_scale"])
+    if (got := path.stat().st_size) != size:
+        raise ValueError(f"{path}: {got} bytes, n_samples {meta['n_samples']} needs {size}")
+    interleaved = np.empty(2 * int(meta["n_samples"]))
+    with open(path, "rb") as fh:
+        for a in range(0, len(interleaved), 2 * BLOCK_SAMPLES):
+            part = interleaved[a:a + 2 * BLOCK_SAMPLES]
+            part[:] = np.fromfile(fh, dtype, len(part))
+            if fmt == "i16":
+                part /= 32767.0
+                part *= float(meta["full_scale"])
     buf = SignalBuffer(interleaved.view(np.complex128), float(meta["sample_rate_hz"]),
                        if_offset_hz=float(meta["if_offset_hz"]),
                        epoch_s=float(meta.get("epoch_s", 0.0)))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,29 +48,33 @@ class SpreadingCode:
         return CODE_LENGTH / self.chipping_rate_hz
 
 
+@lru_cache(maxsize=1)
+def _g1_g2() -> tuple[bytes, ...]:
+    """G1 and G2 output bits over one period: 10-stage maximal LFSRs seeded all-ones,
+    G1 with feedback taps (3, 10) and G2 with (2, 3, 6, 8, 9, 10); stage 10 is the output."""
+    g1, g2, out = [1] * 10, [1] * 10, []
+    for _ in range(CODE_LENGTH):
+        out.append((g1[9], g2[9]))
+        g1 = [g1[2] ^ g1[9]] + g1[:-1]
+        g2 = [g2[1] ^ g2[2] ^ g2[5] ^ g2[7] ^ g2[8] ^ g2[9]] + g2[:-1]
+    return tuple(bytes(bits) for bits in zip(*out))  # immutable: shared by every caller
+
+
 def generate_ca_code(prn_id: int,
                      chipping_rate_hz: float = DEFAULT_CHIPPING_RATE_HZ) -> SpreadingCode:
     """Generate the standard GPS L1 C/A Gold code for a PRN.
 
-    Two 10-stage maximal LFSRs, both seeded all-ones: G1 with feedback taps
-    (3, 10) and G2 with feedback taps (2, 3, 6, 8, 9, 10).  The output chip is
-    the G1 output XORed with the PRN-specific G2 phase, selected by XORing two
-    register positions.  Bits map {0 -> +1, 1 -> -1}.
+    The output chip is the G1 output XORed with the PRN-specific G2 phase, the
+    XOR of two G2 stages; stage t holds the G2 output 10 - t chips ahead.
+    Bits map {0 -> +1, 1 -> -1}.
     """
     if not isinstance(prn_id, (int, np.integer)) or not 1 <= prn_id <= 32:
         raise ValueError(f"prn_id must be an integer in 1..32, got {prn_id!r}")
     t1, t2 = G2_TAP_PAIRS[int(prn_id)]
-    g1 = [1] * 10
-    g2 = [1] * 10
-    chips = np.empty(CODE_LENGTH, dtype=np.float64)
-    for i in range(CODE_LENGTH):
-        bit = g1[9] ^ g2[t1 - 1] ^ g2[t2 - 1]
-        chips[i] = 1.0 - 2.0 * bit
-        fb1 = g1[2] ^ g1[9]
-        fb2 = g2[1] ^ g2[2] ^ g2[5] ^ g2[7] ^ g2[8] ^ g2[9]
-        g1 = [fb1] + g1[:-1]
-        g2 = [fb2] + g2[:-1]
-    return SpreadingCode(prn_id=int(prn_id), chips=chips,
+    g1, g2 = (np.frombuffer(bits, dtype=np.int8) for bits in _g1_g2())
+    i = np.arange(CODE_LENGTH)
+    bits = g1 ^ g2[(i + 10 - t1) % CODE_LENGTH] ^ g2[(i + 10 - t2) % CODE_LENGTH]
+    return SpreadingCode(prn_id=int(prn_id), chips=1.0 - 2.0 * bits,
                          chipping_rate_hz=chipping_rate_hz)
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSet, propagate_and_sum
-from .dsp import SignalBuffer, add_awgn
+from .channel import ChannelSet, _render_source, earliest_delay_s
+from .dsp import SignalBuffer, _add_noise
 
 LABEL_EMPTY = 0
 LABEL_PRS = 1
@@ -309,13 +309,16 @@ def synthesize_gnb(carrier: CarrierConfig, prs_configs: dict[str, PrsResourceCon
                    with_pdsch: bool = True,
                    noise_power_dbw: float = -np.inf,
                    noise_seed: int = 1) -> SignalBuffer:
-    """Modulate each gNB, apply its channel paths, and sum across gNBs."""
+    """Modulate each gNB, apply its channel paths, and sum across gNBs, one gNB at a time."""
     if not prs_configs:
         raise ValueError("no gNB sources configured")
     n_slots = round(duration_s / carrier.slot_duration_s)
     if n_slots < 1:
         raise ValueError("duration shorter than one slot")
-    clean = {sid: gnb_clean_waveform(carrier, cfg, n_slots, seed, with_pdsch)
-             for sid, cfg in prs_configs.items()}
-    out = propagate_and_sum(clean, channels)
-    return add_awgn(out, noise_power_dbw, noise_seed)
+    d_min_s = earliest_delay_s(channels, prs_configs)
+    total = np.zeros(n_slots * carrier.samples_per_slot, dtype=np.complex128)
+    for sid in sorted(prs_configs):  # fixed order for bit-reproducibility
+        clean = gnb_clean_waveform(carrier, prs_configs[sid], n_slots, seed, with_pdsch)
+        _render_source(total, clean.samples, channels, sid, carrier.sample_rate_hz, d_min_s)
+    _add_noise(total, noise_power_dbw, noise_seed)
+    return SignalBuffer(total, carrier.sample_rate_hz)

@@ -325,7 +325,7 @@ def scene_a_30ms():
 
 
 def test_synthesis_peak_allocation_per_sample():
-    # the output and the noise draws are full length; everything per path is a block
+    # the output is full length; everything per path and the noise are blocks
     cfg, channels = scene_a_30ms()
     tracemalloc.start()
     try:
@@ -334,4 +334,4 @@ def test_synthesis_peak_allocation_per_sample():
     finally:
         tracemalloc.stop()
     assert len(buf) == 1145760
-    assert peak / len(buf) <= 64.0
+    assert peak / len(buf) <= 24.0

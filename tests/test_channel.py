@@ -2,16 +2,20 @@
 file round trips, snapshot interpolation, and the Doppler spectrum."""
 
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from synthrf import channel, dsp
 from synthrf.channel import (ChannelFormatError, ChannelSet, ChannelSpec,
                              PathSeries, PathSpec, SourceChannel, SourceSpec,
                              doppler_spectrum, earliest_delay_s,
                              generate_synthetic_channel, load_channel,
-                             resample_coefficients, store_channel)
+                             propagate_and_sum, resample_coefficients, store_channel)
 
 from conftest import los_source, make_los_channel, nlos_source
 
@@ -243,3 +247,90 @@ class TestDopplerSpectrum:
         cs = single_path_set(duration_s=0.01, f_ch=4000.0)  # 40 snapshots
         with pytest.raises(ValueError):
             doppler_spectrum(cs.source("s1"), 4000.0, nfft=1024)
+
+
+# --- the block path renderer against the whole-array propagation ------------
+
+F_S = 2.0 ** 20  # a power of two: a delay of k / F_S seconds is exactly k samples
+F_CH = 2.0 ** 14
+
+
+def reference_propagate(clean, channels, d_min_s):
+    """Whole-array FFT delay of every path, times its coefficients over the whole
+    scene, summed in source order: what the block renderer must match bit for bit."""
+    n = len(next(iter(clean.values())))
+    total = np.zeros(n, dtype=np.complex128)
+    for sid in sorted(clean):
+        x = clean[sid].samples
+        for path in channels.source(sid).paths:
+            shift = (path.delays_s[0] - d_min_s) * F_S
+            if shift >= n:
+                warnings.warn("delay exceeds buffer duration; output is all zeros")
+                delayed = np.zeros(n, dtype=np.complex128)
+            else:
+                whole = int(np.floor(shift))
+                frac = shift - whole
+                if frac > 1e-12:
+                    delayed = np.fft.fft(x)
+                    delayed *= dsp._phasor(-shift / n, n)
+                    delayed[(n + 1) // 2:] *= np.exp(2j * np.pi * frac)
+                    delayed = np.fft.ifft(delayed)
+                else:
+                    delayed = np.roll(x, whole)
+                delayed[:whole] = 0.0
+            t_snap = np.arange(path.n_snapshots) / F_CH
+            coeff = np.interp(np.arange(n) / F_S, t_snap, path.coefficients)
+            total += delayed * coeff
+    return total
+
+
+@st.composite
+def render_cases(draw):
+    """Lengths around block boundaries (and at or past 16384 samples, where numpy
+    reuses temporaries), 1-2 sources of 1-3 paths with integer, fractional or
+    out-of-buffer delays, and a block of 1024, 3072, 7168 or 16384 samples."""
+    n = draw(st.one_of(st.integers(1, 4000), st.integers(16384 - 40, 16384 + 40),
+                       st.integers(16385, 40000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_snap = math.ceil(n / F_S * F_CH) + 1
+    kinds = st.sampled_from(["whole", "fraction", "beyond"])
+    sources, clean = [], {}
+    for s in range(draw(st.integers(1, 2))):
+        shifts = []
+        for kind in draw(st.lists(kinds, min_size=1, max_size=3)):
+            whole = float(rng.integers(0, n))
+            shifts.append({"whole": whole, "fraction": whole + rng.uniform(0.01, 0.99),
+                           "beyond": n + float(rng.integers(0, 3))}[kind])
+        paths = [PathSeries(rng.standard_normal(n_snap) + 1j * rng.standard_normal(n_snap),
+                            np.full(n_snap, shift / F_S)) for shift in sorted(shifts)]
+        sources.append(SourceChannel(f"s{s}", "gnb", True, paths))
+        clean[f"s{s}"] = dsp.SignalBuffer(rng.standard_normal(n) + 1j * rng.standard_normal(n), F_S)
+    channels = ChannelSet(sources, F_CH, n_snap / F_CH)
+    return clean, channels, draw(st.sampled_from([1024, 3072, 7168, 16384]))
+
+
+class TestBlockRenderer:
+    @settings(max_examples=40, deadline=None)
+    @given(case=render_cases())
+    def test_blocks_change_no_output_bit(self, case):
+        clean, channels, block = case
+        with warnings.catch_warnings(record=True) as want_warnings:
+            warnings.simplefilter("always")
+            want = reference_propagate(clean, channels, 0.0)
+        with (mock.patch.object(dsp, "BLOCK_SAMPLES", block),
+              mock.patch.object(channel, "BLOCK_SAMPLES", block),
+              warnings.catch_warnings(record=True) as got_warnings):
+            warnings.simplefilter("always")
+            got = propagate_and_sum(clean, channels, d_min_s=0.0).samples
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # a delay of a whole buffer or more still warns, once per such path
+        assert len(got_warnings) == len(want_warnings)
+
+    def test_paths_of_a_source_share_one_forward_fft(self):
+        n, n_snap = 5000, 80
+        clean = {"s0": dsp.SignalBuffer(np.ones(n, dtype=complex), F_S)}
+        paths = [PathSeries(np.ones(n_snap), np.full(n_snap, (k + 0.5) / F_S)) for k in range(3)]
+        channels = ChannelSet([SourceChannel("s0", "gnb", True, paths)], F_CH, n_snap / F_CH)
+        with mock.patch.object(np.fft, "fft", wraps=np.fft.fft) as fft:
+            propagate_and_sum(clean, channels, d_min_s=0.0)
+        assert fft.call_count == 1

@@ -163,6 +163,24 @@ class TestAddAwgn:
         got = dsp.add_awgn(buf, noise_power_dbw, seed=5).samples
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    @pytest.mark.parametrize("n", [2 * dsp.BLOCK_SAMPLES + 77, 3 * dsp.BLOCK_SAMPLES - 1])
+    def test_in_place_blocks_equal_one_draw(self, n):
+        x = tone(1234.5, 1e6, n / 1e6).samples
+        sigma = np.sqrt(10.0 ** (-7.0 / 10.0) / 2.0)
+        rng = np.random.default_rng(9)
+        want = x + sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        got = x.copy()
+        dsp._add_noise(got, -7.0, seed=9)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("noise_power_dbw", [-np.inf, 3.0])
+    def test_leaves_its_input_untouched(self, noise_power_dbw):
+        buf = tone(1234.5, 1e6, 0.04)
+        before = buf.samples.copy()
+        out = dsp.add_awgn(buf, noise_power_dbw, seed=5)
+        assert np.array_equal(buf.samples.view(np.uint64), before.view(np.uint64))
+        assert not np.shares_memory(out.samples, buf.samples)
+
 
 class TestFftCorrelate:
     def test_peak_at_circular_shift(self):

@@ -2,13 +2,14 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from synthrf import iqio
 from synthrf.channel import ChannelSpec, generate_synthetic_channel
-from synthrf.dsp import SignalBuffer
+from synthrf.dsp import BLOCK_SAMPLES, SignalBuffer
 from synthrf.prs import CarrierConfig, PrsResourceConfig, synthesize_gnb
 
 from conftest import los_source
@@ -117,18 +118,44 @@ def interleaved_formula(samples):
 @pytest.mark.parametrize("stride", [1, 3])  # 3: a non-contiguous view of a longer array
 def test_bytes_and_samples_match_the_interleaving_formulas(tmp_path, rng, fmt, full_scale,
                                                            stride):
-    x = 2.5 * (rng.standard_normal(3000) + 1j * rng.standard_normal(3000))
-    buf = SignalBuffer(x[::stride], 1e6)
+    for n in (3000 // stride, 1, 1001, 2 * BLOCK_SAMPLES + 5):  # odd lengths; across blocks
+        x = 2.5 * (rng.standard_normal(n * stride) + 1j * rng.standard_normal(n * stride))
+        buf = SignalBuffer(x[::stride], 1e6)
+        path = tmp_path / "rec.iq"
+        iqio.write_iq(path, buf, fmt=fmt, i16_full_scale=full_scale)
+        back, meta = iqio.read_iq(path)
+        interleaved = interleaved_formula(buf.samples)
+        if fmt == "f32":
+            raw = interleaved.astype("<f4")
+            values = raw.astype(np.float64)
+        else:
+            scale = meta["full_scale"]
+            if full_scale is None:
+                assert scale == 2.0 ** np.ceil(np.log2(np.max(np.abs(interleaved))))
+            elif n > 1:
+                assert np.any(np.abs(interleaved) > scale)  # the explicit full scale clips
+            raw = np.round(np.clip(interleaved / scale, -1.0, 1.0) * 32767.0).astype("<i2")
+            values = raw.astype(np.float64) / 32767.0 * scale
+        assert path.read_bytes() == raw.tobytes()
+        np.testing.assert_array_equal(back.samples, values[0::2] + 1j * values[1::2])
+
+
+@pytest.mark.parametrize("fmt", ["f32", "i16"])
+def test_write_and_read_allocate_blocks_beside_the_samples(tmp_path, fmt):
+    # write: block temporaries only; read: the float64 output plus one block
+    n = 1 << 20
+    buf = SignalBuffer(np.exp(0.001j * np.arange(n)), 1e6)
     path = tmp_path / "rec.iq"
-    iqio.write_iq(path, buf, fmt=fmt, i16_full_scale=full_scale)
-    back, meta = iqio.read_iq(path)
-    interleaved = interleaved_formula(buf.samples)
-    if fmt == "f32":
-        raw = interleaved.astype("<f4")
-        values = raw.astype(np.float64)
-    else:
-        scale = meta["full_scale"]
-        raw = np.round(np.clip(interleaved / scale, -1.0, 1.0) * 32767.0).astype("<i2")
-        values = raw.astype(np.float64) / 32767.0 * scale
-    assert path.read_bytes() == raw.tobytes()
-    np.testing.assert_array_equal(back.samples, values[0::2] + 1j * values[1::2])
+    tracemalloc.start()
+    try:
+        iqio.write_iq(path, buf, fmt=fmt)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        back, _ = iqio.read_iq(path)
+        read_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(back) == n
+    assert write_peak / n <= 2.0
+    assert read_peak / n <= 18.0

@@ -1,6 +1,7 @@
 """NR PRS: scrambling-sequence oracles, comb mapping, slot scheduling, OFDM
 numerology, and the modulate/demodulate round trip."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,11 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from synthrf import prs
-from synthrf.dsp import SignalBuffer
+from synthrf.channel import (ChannelSpec, PathSpec, SourceSpec, generate_synthetic_channel,
+                             propagate_and_sum)
+from synthrf.dsp import SignalBuffer, add_awgn
 from synthrf.prs import (CarrierConfig, PrsResourceConfig, ResourceGrid,
                          cp_alignment_metric, generate_pdsch_filler,
                          generate_prs_symbols, gnb_clean_waveform, is_prs_slot,
-                         merge_grids, ofdm_demodulate, ofdm_modulate)
+                         merge_grids, ofdm_demodulate, ofdm_modulate, synthesize_gnb)
 
 
 def reference_prbs(c_init, length):
@@ -235,6 +238,47 @@ class TestGnbWaveform:
         a = gnb_clean_waveform(carrier, PrsResourceConfig(), 2, seed=3)
         b = gnb_clean_waveform(carrier, PrsResourceConfig(), 2, seed=3)
         np.testing.assert_array_equal(a.samples, b.samples)
+
+
+def two_gnb_scene(duration_s):
+    """The benchmark's prs_scene geometry: two gNBs, each a LOS path and a faded echo."""
+    sources = tuple(SourceSpec(sid, "gnb", True, (
+        PathSpec(initial_delay_s=delay, doppler_hz=f_d, delay_rate=-f_d / 3.5e9),
+        PathSpec(initial_delay_s=delay + lag, doppler_hz=f_d, delay_rate=-f_d / 3.5e9,
+                 mean_power_db=-6.0, fading_doppler_hz=100.0)))
+        for sid, delay, f_d, lag in (("g2", 3e-6 + 213.37 / 15.36e6, -150.0, 0.9e-6),
+                                     ("g1", 3e-6, 200.0, 1.3e-6)))
+    channels = generate_synthetic_channel(ChannelSpec(
+        sources=sources, update_rate_hz=40e3, duration_s=duration_s, seed=7))
+    resources = {"g2": PrsResourceConfig(n_prs_id=20, comb_offset=1),
+                 "g1": PrsResourceConfig(n_prs_id=10)}
+    return CarrierConfig(n_cell_id=1), resources, channels
+
+
+class TestSynthesizeGnb:
+    def test_one_gnb_at_a_time_equals_propagating_all_at_once(self):
+        # config order g2, g1; both sum in sorted order, as propagate_and_sum does
+        carrier, resources, channels = two_gnb_scene(0.005)
+        got = synthesize_gnb(carrier, resources, channels, 0.005, seed=3,
+                             noise_power_dbw=-20.0, noise_seed=4)
+        clean = {sid: gnb_clean_waveform(carrier, res, 5, seed=3)
+                 for sid, res in resources.items()}
+        want = add_awgn(propagate_and_sum(clean, channels), -20.0, 4)
+        assert np.array_equal(got.samples.view(np.uint64), want.samples.view(np.uint64))
+        assert got.sample_rate_hz == want.sample_rate_hz
+
+    def test_peak_allocation_per_sample(self):
+        # the sum, one gNB's waveform, its spectrum and one delayed path; the rest is blocks
+        carrier, resources, channels = two_gnb_scene(0.03)
+        tracemalloc.start()
+        try:
+            buf = synthesize_gnb(carrier, resources, channels, 0.03, seed=3,
+                                 noise_power_dbw=-20.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(buf) == 460800
+        assert peak / len(buf) <= 72.0
 
 
 # --- the per-symbol modem the slot table replaced, kept as an oracle ---------
