@@ -8,7 +8,9 @@ the channel update rate f_ch.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,8 +39,8 @@ class PathSeries:
         delays = np.asarray(self.delays_s, dtype=np.float64)
         object.__setattr__(self, "coefficients", coeff)
         object.__setattr__(self, "delays_s", delays)
-        if coeff.shape != delays.shape or coeff.ndim != 1:
-            raise ValueError("coefficients and delays_s must be 1-D and equal length")
+        if coeff.shape != delays.shape or coeff.ndim != 1 or not coeff.size:
+            raise ValueError("coefficients and delays_s must be 1-D, non-empty and equal length")
         if not np.all(np.isfinite(coeff)):
             raise ValueError("channel coefficients must be finite")
         if not np.all(np.isfinite(delays)) or np.any(delays < 0):
@@ -78,18 +80,13 @@ class SourceChannel:
 class ChannelSet:
     sources: tuple[SourceChannel, ...]
     update_rate_hz: float
-    duration_s: float
 
     def __post_init__(self):
         object.__setattr__(self, "sources", tuple(self.sources))
-        if self.update_rate_hz <= 0 or self.duration_s <= 0:
-            raise ValueError("update_rate_hz and duration_s must be positive")
-        expected = round(self.update_rate_hz * self.duration_s)
-        for src in self.sources:
-            if src.n_snapshots != expected:
-                raise ValueError(
-                    f"source {src.source_id}: snapshot count {src.n_snapshots} "
-                    f"!= round(f_ch * T) = {expected}")
+        if not 0 < self.update_rate_hz < math.inf:
+            raise ValueError("update_rate_hz must be positive and finite")
+        if len({src.n_snapshots for src in self.sources}) > 1:
+            raise ValueError("all sources must share one snapshot count")
 
     def source(self, source_id: str) -> SourceChannel:
         for src in self.sources:
@@ -205,8 +202,7 @@ def generate_synthetic_channel(spec: ChannelSpec) -> ChannelSet:
             paths.append(PathSeries(coefficients=coeff, delays_s=delays))
         sources.append(SourceChannel(source_id=src.source_id, source_kind=src.kind,
                                      los=src.los, paths=tuple(paths)))
-    return ChannelSet(sources=tuple(sources), update_rate_hz=spec.update_rate_hz,
-                      duration_s=spec.duration_s)
+    return ChannelSet(sources=tuple(sources), update_rate_hz=spec.update_rate_hz)
 
 
 # ---------------------------------------------------------------------------
@@ -225,20 +221,14 @@ def store_channel(channels: ChannelSet, path) -> None:
         for src in channels.sources:
             header = (f"source {src.source_id} {src.source_kind} "
                       f"{int(src.los)} {len(src.paths)} "
-                      f"{channels.update_rate_hz!r} {src.n_snapshots}\n")
+                      f"{float(channels.update_rate_hz)!r} {src.n_snapshots}\n")
             fh.write(header.encode("ascii"))
-            for p in src.paths:
-                if binary:
-                    rec = np.empty((p.n_snapshots, 4), dtype="<f8")
-                    rec[:, 0] = np.arange(p.n_snapshots)
-                    rec[:, 1] = p.coefficients.real
-                    rec[:, 2] = p.coefficients.imag
-                    rec[:, 3] = p.delays_s
-                    fh.write(rec.tobytes())
-                else:
-                    lines = [f"{i},{float(h.real)!r},{float(h.imag)!r},{float(d)!r}\n"
-                             for i, (h, d) in enumerate(zip(p.coefficients, p.delays_s))]
-                    fh.write("".join(lines).encode("ascii"))
+            for p in src.paths:  # one (n_snap, 4) record array: index, Re H, Im H, delay
+                rec = np.stack([np.arange(p.n_snapshots), p.coefficients.real,
+                                p.coefficients.imag, p.delays_s], axis=1, dtype="<f8")
+                fh.write(rec.tobytes() if binary else "".join(
+                    f"{i},{h!r},{q!r},{d!r}\n" for i, (_, h, q, d) in enumerate(rec.tolist())
+                ).encode("ascii"))
 
 
 def _parse_source_header(line: str) -> tuple[str, str, bool, int, float, int]:
@@ -252,6 +242,25 @@ def _parse_source_header(line: str) -> tuple[str, str, bool, int, float, int]:
         raise ChannelFormatError(f"bad source header: {line!r}") from exc
 
 
+def _load_path(fh, binary: bool, n_snap: int, where: str) -> PathSeries:
+    """One path's (n_snap, 4) records from <f8 bytes or text rows, then one set of checks."""
+    try:
+        if binary:
+            rec = np.frombuffer(fh.read(n_snap * 4 * 8), dtype="<f8").reshape(-1, 4)
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)  # loadtxt warns on no rows
+                rec = np.loadtxt(itertools.islice(fh, n_snap), delimiter=",",
+                                 comments=None, ndmin=2)
+        if rec.shape != (n_snap, 4) or not np.array_equal(rec[:, 0], np.arange(n_snap)):
+            raise ValueError(f"records are not rows 0..{n_snap - 1} of 4 fields")
+        # a view, as Re + 1j·Im would lose the sign of a zero
+        coefficients = np.ascontiguousarray(rec[:, 1:3]).view(np.complex128)[:, 0]
+        return PathSeries(coefficients, rec[:, 3].copy())  # checks finite, delays >= 0
+    except (ValueError, UserWarning) as exc:
+        raise ChannelFormatError(f"{where}: {exc}") from exc
+
+
 def load_channel(path) -> ChannelSet:
     """Read a channel file written by store_channel (text or binary variant)."""
     path = Path(path)
@@ -262,10 +271,7 @@ def load_channel(path) -> ChannelSet:
             raise ChannelFormatError(f"bad header line: {magic!r}")
         sources = []
         f_ch_global = None
-        while True:
-            line = fh.readline()
-            if not line:
-                break
+        while line := fh.readline():
             header = line.decode("ascii", errors="replace").rstrip("\n")
             if not header.strip():
                 continue
@@ -275,48 +281,19 @@ def load_channel(path) -> ChannelSet:
             elif f_ch != f_ch_global:
                 raise ChannelFormatError(
                     f"source {sid}: update rate {f_ch} differs from {f_ch_global}")
-            paths = []
-            for k in range(n_paths):
-                if binary:
-                    raw = fh.read(n_snap * 4 * 8)
-                    if len(raw) != n_snap * 4 * 8:
-                        raise ChannelFormatError(
-                            f"source {sid} path {k}: truncated binary records")
-                    rec = np.frombuffer(raw, dtype="<f8").reshape(n_snap, 4)
-                else:
-                    rec = np.empty((n_snap, 4))
-                    for i in range(n_snap):
-                        row = fh.readline().decode("ascii", errors="replace").strip()
-                        fields = row.split(",")
-                        if len(fields) != 4:
-                            raise ChannelFormatError(
-                                f"source {sid} path {k} record {i}: bad row {row!r}")
-                        try:
-                            rec[i] = [float(v) for v in fields]
-                        except ValueError as exc:
-                            raise ChannelFormatError(
-                                f"source {sid} path {k} record {i}: bad row {row!r}"
-                            ) from exc
-                if not np.array_equal(rec[:, 0], np.arange(n_snap)):
-                    raise ChannelFormatError(
-                        f"source {sid} path {k}: snapshot indices not contiguous")
-                if not np.all(np.isfinite(rec)):
-                    raise ChannelFormatError(
-                        f"source {sid} path {k}: non-finite value")
-                if np.any(rec[:, 3] < 0):
-                    raise ChannelFormatError(f"source {sid} path {k}: negative delay")
-                paths.append(PathSeries(coefficients=rec[:, 1] + 1j * rec[:, 2],
-                                        delays_s=rec[:, 3].copy()))
+            paths = [_load_path(fh, binary, n_snap, f"source {sid} path {k}")
+                     for k in range(n_paths)]
             try:
                 sources.append(SourceChannel(source_id=sid, source_kind=kind,
                                              los=los, paths=tuple(paths)))
             except ValueError as exc:
                 raise ChannelFormatError(f"source {sid}: {exc}") from exc
-    if not sources or f_ch_global is None:
+    if not sources:
         raise ChannelFormatError("channel file contains no sources")
-    n_snap = sources[0].n_snapshots
-    return ChannelSet(sources=tuple(sources), update_rate_hz=f_ch_global,
-                      duration_s=n_snap / f_ch_global)
+    try:
+        return ChannelSet(sources=tuple(sources), update_rate_hz=f_ch_global)
+    except ValueError as exc:
+        raise ChannelFormatError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Shared DSP primitives: sample buffers, mixing, delays, noise, FFT correlation."""
+"""Shared DSP primitives: sample buffers, block phasors, delays, noise, FFT correlation."""
 
 from __future__ import annotations
 
@@ -35,13 +35,6 @@ class SignalBuffer:
         return len(self.samples) / self.sample_rate_hz
 
 
-def mix_carrier(buf: SignalBuffer, freq_hz: float, phase_rad: float = 0.0) -> SignalBuffer:
-    """Multiply by e^{j(2π·freq_hz·t + phase_rad)} from _phasor; advance if_offset_hz."""
-    rotator = _phasor(freq_hz / buf.sample_rate_hz, len(buf.samples), phase_rad)
-    return replace(buf, samples=buf.samples * rotator,
-                   if_offset_hz=buf.if_offset_hz + freq_hz)
-
-
 def _phasor(cycles: float, n: int, phase_rad: float = 0.0, start: int = 0) -> np.ndarray:
     """e^{j(2π·cycles·m + phase_rad)}, m = start..start+n-1: a 1024-sample table times one
     phasor per block, its phase reduced mod 1 from cycles split into a float32 head (exact
@@ -54,21 +47,14 @@ def _phasor(cycles: float, n: int, phase_rad: float = 0.0, start: int = 0) -> np
     return (block[:, None] * np.exp(2j * np.pi * cycles * np.arange(p))).ravel()[:n]
 
 
-def fractional_delay(buf: SignalBuffer, delay_s: float) -> SignalBuffer:
-    """Delay by an arbitrary time; the leading gap is zero-filled.
+def _delay_into(out: np.ndarray, x: np.ndarray, shift: float, spectrum) -> None:
+    """out = x delayed by shift samples, the leading gap zero-filled; spectrum() returns fft(x).
 
     A fractional delay is applied as a spectral phase ramp, which is exact
     for bandlimited signals and, unlike interpolation in the time domain,
     does not attenuate content near the Nyquist band (the IF carrier sits
     high in the band, so interpolation loss would be severe there).
     """
-    out = np.empty_like(buf.samples)
-    _delay_into(out, buf.samples, delay_s * buf.sample_rate_hz, lambda: np.fft.fft(buf.samples))
-    return replace(buf, samples=out)
-
-
-def _delay_into(out: np.ndarray, x: np.ndarray, shift: float, spectrum) -> None:
-    """out = x delayed by shift samples (fractional_delay); spectrum() returns fft(x)."""
     if shift < 0:
         raise ValueError("delay_s must be non-negative")
     n = len(x)
@@ -78,11 +64,13 @@ def _delay_into(out: np.ndarray, x: np.ndarray, shift: float, spectrum) -> None:
     whole = int(np.floor(shift))
     frac = shift - whole
     if frac > 1e-12:
-        x, upper = spectrum(), (n + 1) // 2  # fftfreq is k/n - 1 from bin ⌈n/2⌉ on
+        x = spectrum()
         for a in range(0, n, BLOCK_SAMPLES):
             b = min(a + BLOCK_SAMPLES, n)
             np.multiply(x[a:b], _phasor(-shift / n, b - a, 0.0, a), out=out[a:b])
-            out[max(a, upper):b] *= np.exp(2j * np.pi * frac)  # e^{-j2π·fftfreq·shift}
+        # e^{-j2π·fftfreq·shift}: fftfreq is k/n - 1 from bin ⌈n/2⌉ on.  One multiply, not
+        # one per block: a one-sample in-place complex multiply rounds differently
+        out[(n + 1) // 2:] *= np.exp(2j * np.pi * frac)
         np.fft.ifft(out, out=out)
     else:
         out[whole:] = x[:n - whole]

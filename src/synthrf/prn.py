@@ -1,4 +1,4 @@
-"""GPS L1 C/A spreading code (Gold code) generation and code-domain utilities."""
+"""GPS L1 C/A spreading code (Gold code) generation."""
 
 from __future__ import annotations
 
@@ -43,10 +43,6 @@ class SpreadingCode:
         if self.chipping_rate_hz <= 0:
             raise ValueError("chipping_rate_hz must be positive")
 
-    @property
-    def period_s(self) -> float:
-        return CODE_LENGTH / self.chipping_rate_hz
-
 
 @lru_cache(maxsize=1)
 def _g1_g2() -> tuple[bytes, ...]:
@@ -76,9 +72,3 @@ def generate_ca_code(prn_id: int,
     bits = g1 ^ g2[(i + 10 - t1) % CODE_LENGTH] ^ g2[(i + 10 - t2) % CODE_LENGTH]
     return SpreadingCode(prn_id=int(prn_id), chips=1.0 - 2.0 * bits,
                          chipping_rate_hz=chipping_rate_hz)
-
-
-def circular_autocorrelation(code: SpreadingCode, lag: int) -> float:
-    """Normalized circular autocorrelation at an integer lag (reduced mod 1023)."""
-    lag = int(lag) % CODE_LENGTH
-    return float(np.dot(code.chips, np.roll(code.chips, -lag))) / CODE_LENGTH

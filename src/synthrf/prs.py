@@ -21,10 +21,6 @@ import numpy as np
 from .channel import ChannelSet, _render_source, earliest_delay_s
 from .dsp import SignalBuffer, _add_noise
 
-LABEL_EMPTY = 0
-LABEL_PRS = 1
-LABEL_PDSCH = 2
-
 _PRBS_ADVANCE = 1600
 # normal cyclic prefix, the only one supported: 14 OFDM symbols per slot
 SYMBOLS_PER_SLOT = 14
@@ -118,23 +114,13 @@ class PrsResourceConfig:
 
 @dataclass
 class ResourceGrid:
-    """Subcarrier x OFDM-symbol matrix of modulation symbols with cell labels."""
+    """Subcarrier x OFDM-symbol matrix of modulation symbols; 0 is an empty cell."""
 
     cells: np.ndarray
-    labels: np.ndarray
 
     @classmethod
     def empty(cls, carrier: CarrierConfig) -> "ResourceGrid":
-        shape = (carrier.n_subcarriers, SYMBOLS_PER_SLOT)
-        return cls(cells=np.zeros(shape, dtype=np.complex128),
-                   labels=np.zeros(shape, dtype=np.uint8))
-
-
-def merge_grids(a: ResourceGrid, b: ResourceGrid) -> ResourceGrid:
-    """Overlay two grids for the same slot; occupied cells must be disjoint."""
-    if np.any((a.labels != LABEL_EMPTY) & (b.labels != LABEL_EMPTY)):
-        raise ValueError("grids occupy overlapping cells")
-    return ResourceGrid(cells=a.cells + b.cells, labels=a.labels | b.labels)
+        return cls(np.zeros((carrier.n_subcarriers, SYMBOLS_PER_SLOT), dtype=np.complex128))
 
 
 def _prbs(c_init: int, length: int) -> np.ndarray:
@@ -204,21 +190,19 @@ def generate_prs_symbols(carrier: CarrierConfig, prs: PrsResourceConfig,
         k = (np.arange(per_symbol) * prs.comb_size
              + (prs.comb_offset + offsets[j % len(offsets)]) % prs.comb_size)
         grid.cells[k, l] = symbols
-        grid.labels[k, l] = LABEL_PRS
     return grid
 
 
 def generate_pdsch_filler(carrier: CarrierConfig, seed: int, slot_index: int,
                           prs_grid: ResourceGrid | None = None) -> ResourceGrid:
-    """Seeded random QPSK on every cell not labeled PRS (payload filler only)."""
+    """Seeded random QPSK on every cell the PRS grid leaves 0, as PRS QPSK never is
+    (payload filler only)."""
     grid = ResourceGrid.empty(carrier)
     rng = np.random.default_rng((seed, slot_index))
-    free = (np.ones_like(grid.labels, dtype=bool) if prs_grid is None
-            else prs_grid.labels == LABEL_EMPTY)
+    free = (grid if prs_grid is None else prs_grid).cells == 0
     n = int(free.sum())
     bits = rng.integers(0, 2, (n, 2)).astype(np.float64)
     grid.cells[free] = ((1.0 - 2.0 * bits[:, 0]) + 1j * (1.0 - 2.0 * bits[:, 1])) / np.sqrt(2.0)
-    grid.labels[free] = LABEL_PDSCH
     return grid
 
 
@@ -283,12 +267,8 @@ def ofdm_demodulate(buf: SignalBuffer, carrier: CarrierConfig) -> list[ResourceG
     _, position = _slot_table(carrier)
     n_sc = carrier.n_subcarriers
     bins = (np.arange(n_sc) - n_sc // 2) % carrier.n_fft
-    grids = []
-    for slot in buf.samples.reshape(-1, sps):
-        grid = ResourceGrid.empty(carrier)
-        grid.cells[:] = (np.fft.fft(slot[position]) / carrier.n_fft)[:, bins].T
-        grids.append(grid)
-    return grids
+    return [ResourceGrid((np.fft.fft(slot[position]) / carrier.n_fft)[:, bins].T)
+            for slot in buf.samples.reshape(-1, sps)]
 
 
 def gnb_clean_waveform(carrier: CarrierConfig, prs_cfg: PrsResourceConfig,
@@ -298,8 +278,8 @@ def gnb_clean_waveform(carrier: CarrierConfig, prs_cfg: PrsResourceConfig,
     grids = []
     for s in range(n_slots):
         grid = generate_prs_symbols(carrier, prs_cfg, s)
-        if with_pdsch:
-            grid = merge_grids(grid, generate_pdsch_filler(carrier, seed, s, grid))
+        if with_pdsch:  # the filler is 0 on the PRS cells, so this adds no rounding
+            grid.cells += generate_pdsch_filler(carrier, seed, s, grid).cells
         grids.append(grid)
     return ofdm_modulate(grids, carrier)
 

@@ -191,6 +191,12 @@ def _loop_gains(bw_hz: float, damping: float, gain: float) -> tuple[float, float
     return gain / (wn * wn), 2.0 * damping / wn
 
 
+def _loop_filter(nco: float, err: float, old_err: float, tau1: float, tau2: float,
+                 pdi: float) -> float:
+    """Second-order loop filter: the next NCO command from the last one, err and old_err."""
+    return nco + (tau2 / tau1) * (err - old_err) + err * (pdi / tau1)
+
+
 def dll_discriminator(i_e: float, q_e: float, i_l: float, q_l: float) -> float:
     """Normalized early-minus-late power discriminator."""
     e = math.hypot(i_e, q_e)
@@ -263,8 +269,8 @@ def track(buf: SignalBuffer, code: SpreadingCode, init: AcquisitionResult,
 
     rem_code_phase = 0.0
     rem_carr_phase = 0.0
-    old_code_nco = old_code_err = 0.0
-    old_carr_nco = old_carr_err = 0.0
+    code_nco = old_code_err = 0.0
+    carr_nco = old_carr_err = 0.0
     spacing = cfg.correlator_spacing_chips
 
     p = init.code_phase_samples
@@ -286,17 +292,15 @@ def track(buf: SignalBuffer, code: SpreadingCode, init: AcquisitionResult,
         new_rem = rem_code_phase + blksize * code_step - chips_per_epoch
 
         code_err = dll_discriminator(c_e.real, c_e.imag, c_l.real, c_l.imag)
-        code_nco = (old_code_nco + (tau2_code / tau1_code) * (code_err - old_code_err)
-                    + code_err * (pdi / tau1_code))
-        old_code_nco, old_code_err = code_nco, code_err
+        code_nco = _loop_filter(code_nco, code_err, old_code_err, tau1_code, tau2_code, pdi)
+        old_code_err = code_err
         code_freq = r_c - code_nco
         if cfg.carrier_aiding:
             code_freq += (carr_freq - buf.if_offset_hz) * r_c / cfg.carrier_freq_hz
 
         carr_err = pll_discriminator(c_p.real, c_p.imag)
-        carr_nco = (old_carr_nco + (tau2_carr / tau1_carr) * (carr_err - old_carr_err)
-                    + carr_err * (pdi / tau1_carr))
-        old_carr_nco, old_carr_err = carr_nco, carr_err
+        carr_nco = _loop_filter(carr_nco, carr_err, old_carr_err, tau1_carr, tau2_carr, pdi)
+        old_carr_err = carr_err
         carr_freq = carr_freq_basis + carr_nco
 
         code_start = p - rem_code_phase / code_step

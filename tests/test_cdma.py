@@ -167,9 +167,9 @@ class TestCodeNco:
         # 38.192 MHz / (5 x 1.023 MHz) = 112/15; resample_poly scales the window by up
         h = cdma.design_antialias_fir(5 * cfg.r_c_hz, cfg.f_s_hz, 112)
         ref = signal.resample_poly(stream, 112, 15, window=h)
-        ref = dsp.mix_carrier(dsp.SignalBuffer(ref[:cfg.n_samples], cfg.f_s_hz), cfg.f_if_hz)
+        ref = mix_to_if(ref[:cfg.n_samples], cfg)
         edge = round(50e-6 * cfg.f_s_hz)
-        a, b = buf.samples[edge:-edge], ref.samples[edge:-edge]
+        a, b = buf.samples[edge:-edge], ref[edge:-edge]
         rho = abs(np.vdot(b, a)) / np.sqrt(np.vdot(a, a).real * np.vdot(b, b).real)
         assert rho >= 0.999
 
@@ -215,6 +215,12 @@ def reference_code_baseband(code, cfg, delay_s):
     return cdma._pulse_table(cfg.r_c_hz, cfg.f_s_hz)[rows[u >> cdma.PHASE_BITS] + (u & (q - 1))]
 
 
+def mix_to_if(samples, cfg):
+    """samples times the IF carrier, the whole-scene block phasor."""
+    carrier = dsp._phasor(cfg.f_if_hz / cfg.f_s_hz, len(samples))
+    return samples * carrier
+
+
 def reference_synthesize(cfg, channels):
     """Every path over the whole scene at once, one full-length mix to IF, and
     noise drawn as sigma * (I + jQ) and added."""
@@ -231,7 +237,7 @@ def reference_synthesize(cfg, channels):
             weighted = coefficients * np.exp(-2j * np.pi * cfg.f_if_hz * delay[0])
             weighted *= reference_code_baseband(code, cfg, delay)
             total += weighted
-    out = dsp.mix_carrier(dsp.SignalBuffer(total, cfg.f_s_hz), cfg.f_if_hz).samples
+    out = mix_to_if(total, cfg)
     if cfg.noise_power_dbw == -math.inf:
         return out
     sigma = np.sqrt(10.0 ** (cfg.noise_power_dbw / 10.0) / 2.0)
@@ -295,8 +301,7 @@ class TestBlockRendering:
     def test_clean_signal_matches_the_reference_nco(self):
         cfg = sat_config(duration_s=0.003, t_d_s=0.001, data_seed=4)
         code = prn.generate_ca_code(7)
-        want = dsp.mix_carrier(dsp.SignalBuffer(reference_code_baseband(
-            code, cfg, np.zeros(cfg.n_samples)), cfg.f_s_hz), cfg.f_if_hz).samples
+        want = mix_to_if(reference_code_baseband(code, cfg, np.zeros(cfg.n_samples)), cfg)
         got = cdma.generate_clean_signal(code, cfg).samples
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 

@@ -1,16 +1,19 @@
 """Channel model: container invariants, the synthetic generator statistics,
 file round trips, snapshot interpolation, and the Doppler spectrum."""
 
+import contextlib
+import io
+import json
 import math
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
-from synthrf import channel, dsp
+from synthrf import channel, cli, dsp
 from synthrf.channel import (ChannelFormatError, ChannelSet, ChannelSpec,
                              PathSeries, PathSpec, SourceChannel, SourceSpec,
                              doppler_spectrum, earliest_delay_s,
@@ -38,13 +41,13 @@ def single_path_set(doppler_hz=0.0, rician_k=math.inf, fading_doppler_hz=0.0,
 
 
 class TestContainers:
-    def test_snapshot_count_must_match_rate_and_duration(self):
-        path = PathSeries(coefficients=np.ones(50, dtype=complex),
-                         delays_s=np.full(50, 1e-5))
-        src = SourceChannel(source_id="a", source_kind="satellite", los=True,
-                            paths=(path,))
+    def test_sources_must_share_one_snapshot_count(self):
+        def source(sid, n):
+            path = PathSeries(coefficients=np.ones(n, dtype=complex), delays_s=np.full(n, 1e-5))
+            return SourceChannel(source_id=sid, source_kind="satellite", los=True, paths=(path,))
+        ChannelSet(sources=(source("a", 50), source("b", 50)), update_rate_hz=1000.0)
         with pytest.raises(ValueError, match="snapshot count"):
-            ChannelSet(sources=(src,), update_rate_hz=1000.0, duration_s=0.1)
+            ChannelSet(sources=(source("a", 50), source("b", 60)), update_rate_hz=1000.0)
 
     def test_path_zero_must_arrive_first(self):
         early = PathSeries(coefficients=np.ones(10, dtype=complex),
@@ -185,6 +188,15 @@ class TestFileRoundTrip:
         with pytest.raises(ChannelFormatError, match="sat1"):
             load_channel(path)
 
+    @pytest.mark.parametrize("ext", [".chn", ".bin"])
+    @pytest.mark.parametrize("f_ch,n_snap", [("1000.0", 0), ("nan", 1), ("inf", 1), ("0.0", 1)])
+    def test_bad_rate_or_empty_series_rejected(self, tmp_path, ext, f_ch, n_snap):
+        body = np.zeros((n_snap, 4)).tobytes() if ext == ".bin" else b"0,0.0,0.0,0.0\n" * n_snap
+        path = tmp_path / ("channels" + ext)
+        path.write_bytes(f"SYNTHRF-CHAN v1\nsource s satellite 1 1 {f_ch} {n_snap}\n".encode() + body)
+        with pytest.raises(ChannelFormatError):
+            load_channel(path)
+
     def test_truncated_binary_rejected(self, tmp_path):
         cs = self._set()
         path = tmp_path / "channels.bin"
@@ -193,6 +205,112 @@ class TestFileRoundTrip:
         path.write_bytes(raw[:-16])
         with pytest.raises(ChannelFormatError):
             load_channel(path)
+
+
+# --- channel files: bit-exact round trips, and every malformation a ChannelFormatError
+
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]
+
+
+@st.composite
+def channel_sets(draw):
+    """1-3 sources of 1-3 paths with any finite doubles: zeros of both signs,
+    subnormals and the largest magnitudes among them; a Python or numpy rate."""
+    n_snap = draw(st.integers(1, 4))
+    values = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from(EDGE_VALUES))
+    delays = st.one_of(st.floats(0.0, 1e308), st.sampled_from([-0.0, 5e-324, 1e308]))
+    def series(elements):
+        return np.array(draw(st.lists(elements, min_size=n_snap, max_size=n_snap)))
+    sources = []
+    for s in range(draw(st.integers(1, 3))):
+        paths = []
+        for _ in range(draw(st.integers(1, 3))):
+            coeff = np.empty(n_snap, dtype=complex)
+            coeff.real, coeff.imag = series(values), series(values)
+            paths.append(PathSeries(coeff, series(delays)))
+        sources.append(SourceChannel(f"s{s}", draw(st.sampled_from(channel.SOURCE_KINDS)),
+                                     draw(st.booleans()),
+                                     sorted(paths, key=lambda p: p.delays_s[0])))
+    rate = st.floats(5e-324, 1e308)
+    return ChannelSet(sources, draw(st.one_of(rate, rate.map(np.float64))))
+
+
+def bits(a):
+    return a.view(np.uint64).tolist()
+
+
+def assert_rejected(path):
+    """load_channel raises ChannelFormatError, and synthesize exits 1 on the file."""
+    with pytest.raises(ChannelFormatError):
+        load_channel(path)
+    config = path.with_name("config.json")
+    config.write_text(json.dumps({"sources": [{"prn_id": 1, "source_id": "s0"}]}))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["synthesize", "cdma", "--config", str(config), "--channel", str(path),
+                         "--out", str(path.with_name("out.iq"))]) == 1
+
+
+class TestChannelFileProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(cs=channel_sets(), ext=st.sampled_from([".chn", ".bin"]))
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, cs, ext):
+        path = tmp_path_factory.mktemp("chan") / ("channels" + ext)
+        store_channel(cs, path)
+        back = load_channel(path)
+        assert back.update_rate_hz == cs.update_rate_hz
+        assert [(s.source_id, s.source_kind, s.los) for s in back.sources] == \
+            [(s.source_id, s.source_kind, s.los) for s in cs.sources]
+        for a, b in zip(cs.sources, back.sources):
+            assert [(bits(p.coefficients), bits(p.delays_s)) for p in a.paths] == \
+                [(bits(p.coefficients), bits(p.delays_s)) for p in b.paths]
+
+    @settings(max_examples=80, deadline=None)
+    @given(cs=channel_sets(), ext=st.sampled_from([".chn", ".bin"]), data=st.data())
+    def test_a_truncated_file_is_rejected_unless_it_ends_a_source(self, tmp_path_factory, cs,
+                                                                  ext, data):
+        path = tmp_path_factory.mktemp("chan") / ("channels" + ext)
+        store_channel(cs, path)
+        raw = path.read_bytes()
+        cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
+        path.write_bytes(raw[:cut])
+        try:
+            kept = len(load_channel(path).sources)
+        except ChannelFormatError:
+            assert_rejected(path)
+            return
+        # no count of sources is stored, so a cut after a whole source loads the ones
+        # before it; in text, so does a cut inside the final delay's digits
+        store_channel(ChannelSet(cs.sources[:kept], cs.update_rate_hz), path)
+        whole = path.read_bytes()
+        assert cut == len(whole) or (ext == ".chn" and whole.rfind(b",") < cut < len(whole))
+
+    @settings(max_examples=80, deadline=None)
+    @given(cs=channel_sets(), ext=st.sampled_from([".chn", ".bin"]), data=st.data())
+    def test_a_bad_field_is_rejected(self, tmp_path_factory, cs, ext, data):
+        path = tmp_path_factory.mktemp("chan") / ("channels" + ext)
+        store_channel(cs, path)
+        raw = path.read_bytes()
+        src = data.draw(st.integers(0, len(cs.sources) - 1), label="source")
+        n_snap = cs.sources[0].n_snapshots
+        row = data.draw(st.integers(0, len(cs.sources[src].paths) * n_snap - 1), label="row")
+        col = data.draw(st.integers(0, 3), label="column")
+        # -1 is a valid coefficient, so only an index or a delay may turn negative
+        bad = data.draw(st.sampled_from(["x", "nan", "-1"] if col in (0, 3) else ["x", "nan"]))
+        if ext == ".bin":
+            store_channel(ChannelSet(cs.sources[:src], cs.update_rate_hz), path)
+            at = raw.index(b"\n", len(path.read_bytes())) + 1 + (row * 4 + col) * 8
+            raw = raw[:at] + np.float64("nan" if bad == "x" else bad).tobytes() + raw[at + 8:]
+        else:
+            lines = raw.split(b"\n")
+            # the magic line, a header per source up to this one, the rows before it
+            i = 2 + src + sum(len(s.paths) for s in cs.sources[:src]) * n_snap + row
+            fields = lines[i].split(b",")
+            fields[col] = bad.encode()
+            lines[i] = b",".join(fields)
+            raw = b"\n".join(lines)
+        path.write_bytes(raw)
+        assert_rejected(path)
 
 
 class TestResampleCoefficients:
@@ -284,20 +402,15 @@ def reference_propagate(clean, channels, d_min_s):
     return total
 
 
-@st.composite
-def render_cases(draw):
-    """Lengths around block boundaries (and at or past 16384 samples, where numpy
-    reuses temporaries), 1-2 sources of 1-3 paths with integer, fractional or
-    out-of-buffer delays, and a block of 1024, 3072, 7168 or 16384 samples."""
-    n = draw(st.one_of(st.integers(1, 4000), st.integers(16384 - 40, 16384 + 40),
-                       st.integers(16385, 40000)))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+def render_case(n, seed, kinds_per_source, block):
+    """Clean signals of n samples and a channel of one source per kinds list, each
+    path with a whole, fractional or out-of-buffer delay drawn from seed."""
+    rng = np.random.default_rng(seed)
     n_snap = math.ceil(n / F_S * F_CH) + 1
-    kinds = st.sampled_from(["whole", "fraction", "beyond"])
     sources, clean = [], {}
-    for s in range(draw(st.integers(1, 2))):
+    for s, kinds in enumerate(kinds_per_source):
         shifts = []
-        for kind in draw(st.lists(kinds, min_size=1, max_size=3)):
+        for kind in kinds:
             whole = float(rng.integers(0, n))
             shifts.append({"whole": whole, "fraction": whole + rng.uniform(0.01, 0.99),
                            "beyond": n + float(rng.integers(0, 3))}[kind])
@@ -305,13 +418,29 @@ def render_cases(draw):
                             np.full(n_snap, shift / F_S)) for shift in sorted(shifts)]
         sources.append(SourceChannel(f"s{s}", "gnb", True, paths))
         clean[f"s{s}"] = dsp.SignalBuffer(rng.standard_normal(n) + 1j * rng.standard_normal(n), F_S)
-    channels = ChannelSet(sources, F_CH, n_snap / F_CH)
-    return clean, channels, draw(st.sampled_from([1024, 3072, 7168, 16384]))
+    return clean, ChannelSet(sources, F_CH), block
+
+
+@st.composite
+def render_cases(draw):
+    """Lengths around block boundaries (and at or past 16384 samples, where numpy
+    reuses temporaries), 1-2 sources of 1-3 paths with integer, fractional or
+    out-of-buffer delays, and a block of 1024, 3072, 7168 or 16384 samples."""
+    n = draw(st.one_of(st.integers(1, 4000), st.integers(16384 - 40, 16384 + 40),
+                       st.integers(16385, 40000)))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    kinds = st.sampled_from(["whole", "fraction", "beyond"])
+    kinds_per_source = [draw(st.lists(kinds, min_size=1, max_size=3))
+                        for _ in range(draw(st.integers(1, 2)))]
+    return render_case(n, seed, kinds_per_source, draw(st.sampled_from([1024, 3072, 7168, 16384])))
 
 
 class TestBlockRenderer:
     @settings(max_examples=40, deadline=None)
     @given(case=render_cases())
+    # a last block of one sample, past the upper half's first bin: a one-sample
+    # in-place complex multiply rounds unlike the same element in a longer one
+    @example(case=render_case(16385, 2, [["fraction"] * 3], 16384))
     def test_blocks_change_no_output_bit(self, case):
         clean, channels, block = case
         with warnings.catch_warnings(record=True) as want_warnings:
@@ -330,7 +459,7 @@ class TestBlockRenderer:
         n, n_snap = 5000, 80
         clean = {"s0": dsp.SignalBuffer(np.ones(n, dtype=complex), F_S)}
         paths = [PathSeries(np.ones(n_snap), np.full(n_snap, (k + 0.5) / F_S)) for k in range(3)]
-        channels = ChannelSet([SourceChannel("s0", "gnb", True, paths)], F_CH, n_snap / F_CH)
+        channels = ChannelSet([SourceChannel("s0", "gnb", True, paths)], F_CH)
         with mock.patch.object(np.fft, "fft", wraps=np.fft.fft) as fft:
             propagate_and_sum(clean, channels, d_min_s=0.0)
         assert fft.call_count == 1

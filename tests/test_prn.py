@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from synthrf import prn
+from synthrf.receiver import sample_code_replica
 
 # ICD-GPS-200 octal of the first 10 chips per PRN, used as a frozen oracle
 # against the phase-select generator.
@@ -77,11 +78,11 @@ def test_balance_512_ones_511_zeros():
 
 
 def test_autocorrelation_peak_and_sidelobes():
-    code = prn.generate_ca_code(5)
-    assert prn.circular_autocorrelation(code, 0) == pytest.approx(1.0)
+    chips = prn.generate_ca_code(5).chips
+    corr = [int(np.dot(chips, np.roll(chips, -lag))) for lag in range(prn.CODE_LENGTH)]
+    assert corr[0] == prn.CODE_LENGTH
     allowed = {-65, -1, 63}
-    for lag in range(1, prn.CODE_LENGTH):
-        value = round(prn.circular_autocorrelation(code, lag) * prn.CODE_LENGTH)
+    for lag, value in enumerate(corr[1:], 1):
         assert value in allowed, f"lag {lag}: {value}"
 
 
@@ -94,8 +95,11 @@ def test_cross_correlation_three_valued():
 
 
 def test_period_follows_chipping_rate():
+    # at 10.23 Mcps and 20.46 MHz the code repeats every 1023 / 10.23e6 s = 2046 samples
     code = prn.generate_ca_code(1, chipping_rate_hz=10.23e6)
-    assert code.period_s == pytest.approx(1023 / 10.23e6)
+    replica = sample_code_replica(code, 20.46e6, 3 * 2046)
+    assert np.array_equal(replica[2046:], replica[:-2046])
+    assert not np.array_equal(replica[2045:-1], replica[:-2046])
 
 
 def test_invalid_prn_rejected():

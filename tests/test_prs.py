@@ -15,7 +15,7 @@ from synthrf.dsp import SignalBuffer, add_awgn
 from synthrf.prs import (CarrierConfig, PrsResourceConfig, ResourceGrid,
                          cp_alignment_metric, generate_pdsch_filler,
                          generate_prs_symbols, gnb_clean_waveform, is_prs_slot,
-                         merge_grids, ofdm_demodulate, ofdm_modulate, synthesize_gnb)
+                         ofdm_demodulate, ofdm_modulate, synthesize_gnb)
 
 
 def reference_prbs(c_init, length):
@@ -101,13 +101,13 @@ class TestCarrierConfig:
 
 
 class TestPrsMapping:
-    def test_comb_density_and_labels(self):
+    def test_comb_density_and_unit_modulus(self):
         carrier = CarrierConfig(n_cell_id=1)
         cfg = PrsResourceConfig(comb_size=2, num_symbols=2, n_prs_id=11)
         grid = generate_prs_symbols(carrier, cfg, 0)
         per_symbol = 52 * 12 // 2
-        assert int((grid.labels == prs.LABEL_PRS).sum()) == 2 * per_symbol
-        occupied = grid.cells[grid.labels == prs.LABEL_PRS]
+        occupied = grid.cells[grid.cells != 0]
+        assert len(occupied) == 2 * per_symbol
         np.testing.assert_allclose(np.abs(occupied), 1.0, atol=1e-12)
 
     def test_comb_offsets_stagger_across_symbols(self):
@@ -116,7 +116,7 @@ class TestPrsMapping:
                                 n_prs_id=7)
         grid = generate_prs_symbols(carrier, cfg, 0)
         # relative offsets for comb-4 follow the (0, 2, 1, 3) pattern
-        cols = [np.flatnonzero(grid.labels[:, 2 + j])[0] % 4 for j in range(4)]
+        cols = [np.flatnonzero(grid.cells[:, 2 + j])[0] % 4 for j in range(4)]
         assert cols == [0, 2, 1, 3]
 
     def test_distinct_prs_ids_give_distinct_sequences(self):
@@ -162,7 +162,7 @@ class TestSlotSchedule:
         carrier = CarrierConfig(n_cell_id=0)
         cfg = PrsResourceConfig(resource_set_period_slots=10)
         grid = generate_prs_symbols(carrier, cfg, 5)
-        assert not grid.labels.any()
+        assert not grid.cells.any()
 
 
 class TestGridComposition:
@@ -172,15 +172,8 @@ class TestGridComposition:
         prs_grid = generate_prs_symbols(carrier, cfg, 0)
         filler = generate_pdsch_filler(carrier, seed=0, slot_index=0,
                                        prs_grid=prs_grid)
-        merged = merge_grids(prs_grid, filler)
-        assert (merged.labels != prs.LABEL_EMPTY).all()
-
-    def test_overlapping_merge_rejected(self):
-        carrier = CarrierConfig(n_cell_id=0)
-        cfg = PrsResourceConfig()
-        grid = generate_prs_symbols(carrier, cfg, 0)
-        with pytest.raises(ValueError, match="overlap"):
-            merge_grids(grid, grid)
+        # every cell holds exactly one of the two: the filler is 0 where PRS is not
+        assert ((prs_grid.cells != 0) ^ (filler.cells != 0)).all()
 
 
 class TestOfdm:
