@@ -60,6 +60,8 @@ class SourceChannel:
 
     def __post_init__(self):
         object.__setattr__(self, "paths", tuple(self.paths))
+        if not self.source_id.isascii() or self.source_id.split() != [self.source_id]:
+            raise ValueError(f"source id {self.source_id!r} must be non-empty ASCII, no whitespace")
         if self.source_kind not in SOURCE_KINDS:
             raise ValueError(f"unknown source kind {self.source_kind!r}")
         if not self.paths:
@@ -377,27 +379,19 @@ def propagate_and_sum(clean: dict[str, SignalBuffer], channels: ChannelSet,
         raise ValueError("no clean signals supplied")
     bufs = list(clean.values())
     f_s, n = bufs[0].sample_rate_hz, len(bufs[0])
-    for buf in bufs[1:]:
-        if buf.sample_rate_hz != f_s or len(buf) != n:
-            raise ValueError("all clean signals must share sample rate and length")
+    if any(buf.sample_rate_hz != f_s or len(buf) != n for buf in bufs):
+        raise ValueError("all clean signals must share sample rate and length")
     if d_min_s is None:
         d_min_s = earliest_delay_s(channels, clean)
     total = np.zeros(n, dtype=np.complex128)
     for sid in sorted(clean):  # fixed order for bit-reproducibility
-        _render_source(total, clean[sid].samples, channels, sid, f_s, d_min_s)
+        spectrum = functools.cache(functools.partial(np.fft.fft, clean[sid].samples))  # once
+        delayed = np.empty(n, dtype=np.complex128)
+        for path in channels.source(sid).paths:
+            _delay_into(delayed, clean[sid].samples, (path.delays_s[0] - d_min_s) * f_s, spectrum)
+            t_snap = _time_axes(path, channels.update_rate_hz, f_s, n)
+            for a in range(0, n, BLOCK_SAMPLES):
+                b = min(a + BLOCK_SAMPLES, n)
+                coeff = _interp(np.arange(a, b) / f_s, t_snap, path.coefficients)
+                total[a:b] += delayed[a:b] * coeff  # named: temporary reuse rounds differently
     return SignalBuffer(total, f_s, bufs[0].if_offset_hz, bufs[0].epoch_s)
-
-
-def _render_source(total: np.ndarray, samples: np.ndarray, channels: ChannelSet, sid: str,
-                   f_s: float, d_min_s: float) -> None:
-    """total += each path of source sid: samples delayed from d_min_s times its coefficients."""
-    n = len(total)
-    spectrum = functools.cache(lambda: np.fft.fft(samples))  # one forward FFT for all paths
-    delayed = np.empty(n, dtype=np.complex128)
-    for path in channels.source(sid).paths:
-        _delay_into(delayed, samples, (path.delays_s[0] - d_min_s) * f_s, spectrum)
-        t_snap = _time_axes(path, channels.update_rate_hz, f_s, n)
-        for a in range(0, n, BLOCK_SAMPLES):
-            b = min(a + BLOCK_SAMPLES, n)
-            coeff = _interp(np.arange(a, b) / f_s, t_snap, path.coefficients)
-            total[a:b] += delayed[a:b] * coeff  # named: numpy's temporary reuse rounds differently

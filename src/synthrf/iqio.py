@@ -60,19 +60,24 @@ def read_iq(path) -> tuple[SignalBuffer, dict]:
     if not side.exists():
         raise FileNotFoundError(f"missing sidecar {side}")
     meta = json.loads(side.read_text())
-    required = ["format", "n_samples", "sample_rate_hz", "if_offset_hz"]
-    if meta.get("format") == "i16":
-        required.append("full_scale")
+    if not isinstance(meta, dict):
+        raise ValueError(f"{side}: expected a JSON object, got a {type(meta).__name__}")
+    required = ["format", "n_samples", "sample_rate_hz", "if_offset_hz"] + ["full_scale"] * (
+        meta.get("format") == "i16")
     if missing := [k for k in required if k not in meta]:
         raise ValueError(f"{side}: missing field '{missing[0]}'")
-    fmt = meta["format"]
-    dtype = {"f32": "<f4", "i16": "<i2"}.get(fmt)
-    if dtype is None:
-        raise ValueError(f"unknown format {fmt!r} in sidecar")
-    size = 2 * int(meta["n_samples"]) * np.dtype(dtype).itemsize
+    if (fmt := meta["format"]) not in FORMATS:
+        raise ValueError(f"{side}: field 'format' must be one of {FORMATS}, got {fmt!r}")
+    if type(n := meta["n_samples"]) is not int or n < 1:
+        raise ValueError(f"{side}: field 'n_samples' must be a positive integer, got {n!r}")
+    for key in sorted(meta.keys() & {"sample_rate_hz", "if_offset_hz", "full_scale", "epoch_s"}):
+        if type(v := meta[key]) not in (int, float) or not abs(v) <= float(np.finfo(float).max):
+            raise ValueError(f"{side}: field '{key}' must be a finite number, got {v!r}")
+    dtype = {"f32": "<f4", "i16": "<i2"}[fmt]
+    size = 2 * n * np.dtype(dtype).itemsize
     if (got := path.stat().st_size) != size:
-        raise ValueError(f"{path}: {got} bytes, n_samples {meta['n_samples']} needs {size}")
-    interleaved = np.empty(2 * int(meta["n_samples"]))
+        raise ValueError(f"{path}: {got} bytes, n_samples {n} needs {size}")
+    interleaved = np.empty(2 * n)
     with open(path, "rb") as fh:
         for a in range(0, len(interleaved), 2 * BLOCK_SAMPLES):
             part = interleaved[a:a + 2 * BLOCK_SAMPLES]

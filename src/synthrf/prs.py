@@ -13,12 +13,13 @@ pairs each prefix sample with the body sample it copies.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSet, _render_source, earliest_delay_s
+from .channel import ChannelSet, _interp, _time_axes, earliest_delay_s
 from .dsp import SignalBuffer, _add_noise
 
 _PRBS_ADVANCE = 1600
@@ -206,38 +207,45 @@ def generate_pdsch_filler(carrier: CarrierConfig, seed: int, slot_index: int,
     return grid
 
 
-def _slot_table(carrier: CarrierConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(source, position): source[i] is slot sample i's index into the slot's
-    stacked IFFT bodies, flattened (a prefix sample indexes its symbol's tail);
-    position[l, m] is the slot sample that carries sample m of body l."""
+@functools.lru_cache(maxsize=16)
+def _slot_table(carrier: CarrierConfig, shift=(0,) * (SYMBOLS_PER_SLOT + 1)):
+    """(source, position, start): source[i] is slot sample i's index into the stacked IFFT
+    bodies, flattened (a prefix sample indexes its symbol's tail); body l's sample m is slot
+    sample position[l, m]; symbol l starts at start[l] (start[14]: the next slot).  Symbol l
+    is delayed by shift[l] whole samples more than symbol 0 (shift[14]: the next slot's)."""
     n_fft = carrier.n_fft
     cp = np.array([carrier.cp_length(l) for l in range(SYMBOLS_PER_SLOT)])
-    body_start = np.cumsum(cp + n_fft) - n_fft
-    symbol = np.repeat(np.arange(SYMBOLS_PER_SLOT), cp + n_fft)
-    source = symbol * n_fft + (np.arange(len(symbol)) - body_start[symbol]) % n_fft
-    position = body_start[:, None] + np.arange(n_fft)
-    return source, position
+    start = np.append(0, np.cumsum(cp + n_fft))
+    edges = start + shift
+    symbol = np.repeat(np.arange(SYMBOLS_PER_SLOT), np.diff(edges))
+    source = symbol * n_fft + (np.arange(edges[-1]) - edges[symbol] - cp[symbol]) % n_fft
+    position = (start[:-1] + cp)[:, None] + np.arange(n_fft)
+    source.flags.writeable = position.flags.writeable = start.flags.writeable = False
+    return source, position, start  # cached, so shared by every caller
+
+
+def _bodies(frames: np.ndarray, cells: np.ndarray, carrier: CarrierConfig) -> np.ndarray:
+    """A slot's 14 IFFT bodies times n_fft: cells (14, n_sc) centred on DC, 0 elsewhere."""
+    frames[:, (np.arange(cells.shape[1]) - cells.shape[1] // 2) % carrier.n_fft] = cells
+    return np.fft.ifft(frames) * carrier.n_fft
 
 
 def ofdm_modulate(grids, carrier: CarrierConfig) -> SignalBuffer:
     """OFDM-modulate a sequence of slot grids at f_s = n_fft * scs."""
-    source, _ = _slot_table(carrier)
-    n_sc = carrier.n_subcarriers
-    bins = (np.arange(n_sc) - n_sc // 2) % carrier.n_fft  # subcarriers centered on DC
+    source, n_sc = _slot_table(carrier)[0], carrier.n_subcarriers
     out = np.empty((len(grids), len(source)), dtype=np.complex128)
     frames = np.zeros((SYMBOLS_PER_SLOT, carrier.n_fft), dtype=np.complex128)
     for slot, grid in zip(out, grids):
         if grid.cells.shape != (n_sc, SYMBOLS_PER_SLOT):
             raise ValueError("grid shape does not match the carrier config")
-        frames[:, bins] = grid.cells.T
-        slot[:] = (np.fft.ifft(frames) * carrier.n_fft).ravel()[source]
+        slot[:] = _bodies(frames, grid.cells.T, carrier).ravel()[source]
     return SignalBuffer(out.ravel(), carrier.sample_rate_hz)
 
 
 def cp_alignment_metric(samples: np.ndarray, carrier: CarrierConfig) -> float:
     """Mean normalized correlation between each cyclic prefix and the symbol
     tail it copies, over the symbols that lie whole in the buffer."""
-    source, position = _slot_table(carrier)
+    source, position, _ = _slot_table(carrier)
     sps = len(source)
     copied = position.ravel()[source]  # the body sample each slot sample repeats
     cp = np.flatnonzero(copied != np.arange(sps))  # the slot's prefix samples
@@ -264,24 +272,25 @@ def ofdm_demodulate(buf: SignalBuffer, carrier: CarrierConfig) -> list[ResourceG
     if metric < 0.5 and np.any(buf.samples):
         warnings.warn(f"cyclic prefix correlation is low ({metric:.2f}); "
                       "input may be misaligned")
-    _, position = _slot_table(carrier)
-    n_sc = carrier.n_subcarriers
+    position, n_sc = _slot_table(carrier)[1], carrier.n_subcarriers
     bins = (np.arange(n_sc) - n_sc // 2) % carrier.n_fft
     return [ResourceGrid((np.fft.fft(slot[position]) / carrier.n_fft)[:, bins].T)
             for slot in buf.samples.reshape(-1, sps)]
+
+
+def _slot_grid(carrier: CarrierConfig, prs_cfg: PrsResourceConfig, slot, seed, with_pdsch):
+    grid = generate_prs_symbols(carrier, prs_cfg, slot)
+    if with_pdsch:  # the filler is 0 on the PRS cells, so this adds no rounding
+        grid.cells += generate_pdsch_filler(carrier, seed, slot, grid).cells
+    return grid
 
 
 def gnb_clean_waveform(carrier: CarrierConfig, prs_cfg: PrsResourceConfig,
                        n_slots: int, seed: int,
                        with_pdsch: bool = True) -> SignalBuffer:
     """Basic (pre-channel) gNB waveform: PRS plus optional filler, modulated."""
-    grids = []
-    for s in range(n_slots):
-        grid = generate_prs_symbols(carrier, prs_cfg, s)
-        if with_pdsch:  # the filler is 0 on the PRS cells, so this adds no rounding
-            grid.cells += generate_pdsch_filler(carrier, seed, s, grid).cells
-        grids.append(grid)
-    return ofdm_modulate(grids, carrier)
+    return ofdm_modulate([_slot_grid(carrier, prs_cfg, s, seed, with_pdsch)
+                          for s in range(n_slots)], carrier)
 
 
 def synthesize_gnb(carrier: CarrierConfig, prs_configs: dict[str, PrsResourceConfig],
@@ -289,16 +298,43 @@ def synthesize_gnb(carrier: CarrierConfig, prs_configs: dict[str, PrsResourceCon
                    with_pdsch: bool = True,
                    noise_power_dbw: float = -np.inf,
                    noise_seed: int = 1) -> SignalBuffer:
-    """Modulate each gNB, apply its channel paths, and sum across gNBs, one gNB at a time."""
+    """Each gNB path at t - tau(t), a slot at a time (TS 38.211 5.3.1): symbol l's delay tau_l
+    (D - D_min at its first sample S_l, in samples) turns subcarrier k by e^{-j2pi k f_l / n_fft},
+    f_l = tau_l - ceil(tau_l), and fills [S_l, S_l+1) + ceil(tau); then H per sample, noise."""
     if not prs_configs:
         raise ValueError("no gNB sources configured")
     n_slots = round(duration_s / carrier.slot_duration_s)
     if n_slots < 1:
         raise ValueError("duration shorter than one slot")
     d_min_s = earliest_delay_s(channels, prs_configs)
-    total = np.zeros(n_slots * carrier.samples_per_slot, dtype=np.complex128)
+    f_s, n_fft, n_sc = carrier.sample_rate_hz, carrier.n_fft, carrier.n_subcarriers
+    n_sym, total = SYMBOLS_PER_SLOT, np.zeros(n_slots * carrier.samples_per_slot, np.complex128)
+    start = _slot_table(carrier)[2]  # S_l of every symbol in the scene, then the scene's end
+    sym_start = np.append(start[-1] * np.arange(n_slots)[:, None] + start[:-1], len(total))
+    k = np.arange(n_sc) - n_sc // 2  # signed subcarrier index
+    frames = np.zeros((n_sym, n_fft), dtype=np.complex128)
     for sid in sorted(prs_configs):  # fixed order for bit-reproducibility
-        clean = gnb_clean_waveform(carrier, prs_configs[sid], n_slots, seed, with_pdsch)
-        _render_source(total, clean.samples, channels, sid, carrier.sample_rate_hz, d_min_s)
+        paths = channels.source(sid).paths
+        t_snaps = [_time_axes(p, channels.update_rate_hz, f_s, len(total)) for p in paths]
+        tau = (np.array([_interp(sym_start / f_s, t, p.delays_s) for p, t in zip(paths, t_snaps)])
+               - d_min_s) * f_s  # (paths, symbols + 1), the last at the scene's end
+        whole = np.ceil(tau).astype(np.int64)
+        if (bad := np.flatnonzero(np.diff(sym_start + whole).min(axis=1) < 0)).size:
+            raise ValueError(f"source {sid} path {bad[0]}: delay falls by more than a symbol")
+        for s in range(n_slots):
+            cells = _slot_grid(carrier, prs_configs[sid], s, seed, with_pdsch).cells.T
+            a, b = n_sym * s, n_sym * (s + 1)
+            for path, t_snap, w, frac in zip(paths, t_snaps, whole, tau - whole):
+                first = sym_start[a] + w[a]
+                lo, hi = np.clip([first, sym_start[b] + w[b]], 0, len(total))
+                if lo == hi:
+                    continue  # delayed past the scene's end
+                f = -2j * np.pi / n_fft * frac[a:b, None]  # the ramp: two short outer products
+                ramp = (np.exp(f * k[::32])[:, :, None] * np.exp(f * np.arange(32))[:, None])
+                bodies = _bodies(frames, cells * ramp.reshape(n_sym, -1)[:, :n_sc], carrier)
+                src = _slot_table(carrier, tuple(w[a:b + 1] - w[a]))[0]
+                coeff = _interp(np.arange(lo, hi) / f_s, t_snap, path.coefficients)
+                coeff *= bodies.ravel()[src[lo - first:hi - first]]
+                total[lo:hi] += coeff
     _add_noise(total, noise_power_dbw, noise_seed)
-    return SignalBuffer(total, carrier.sample_rate_hz)
+    return SignalBuffer(total, f_s)

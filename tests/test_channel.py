@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -66,6 +67,12 @@ class TestContainers:
         with pytest.raises(ValueError, match="kind"):
             SourceChannel(source_id="a", source_kind="drone", los=True,
                           paths=(path,))
+
+    @pytest.mark.parametrize("sid", ["", "sat 1", "s\t2", "s\n", "sät"])
+    def test_an_id_the_file_header_cannot_hold_is_rejected(self, sid):
+        path = PathSeries(coefficients=np.ones(10, dtype=complex), delays_s=np.full(10, 1e-6))
+        with pytest.raises(ValueError, match=f"source id {re.escape(repr(sid))} must be"):
+            SourceChannel(source_id=sid, source_kind="gnb", los=True, paths=(path,))
 
     def test_source_lookup(self):
         cs = make_los_channel([1e-5, 2e-5], [0.0, 100.0], duration_s=0.01)

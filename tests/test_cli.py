@@ -85,6 +85,16 @@ class TestGenChannel:
         assert main(["gen-channel", "--spec", str(bad),
                      "--out", str(tmp_path / "x.chn")]) == 2
 
+    @pytest.mark.parametrize("sid", ["sat 1", "", "s\t2"])
+    def test_a_source_id_the_file_cannot_hold_is_a_runtime_error(self, tmp_path, capsys, sid):
+        spec = dict(CHANNEL_SPEC, sources=[dict(CHANNEL_SPEC["sources"][0], id=sid)])
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        out = tmp_path / "ch.chn"
+        assert main(["gen-channel", "--spec", str(tmp_path / "spec.json"),
+                     "--out", str(out)]) == 1
+        assert f"source id {sid!r} must be non-empty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_field_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"sources": [{"id": "a"}], "seed": 0}))
@@ -217,6 +227,22 @@ class TestAcquireTrack:
         assert main(["acquire", "--iq", str(path), "--prn", "5",
                      "--out", str(tmp_path / "x.csv")]) == 1
         assert f"{side}: missing field '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt,edit,field", [
+        ("f32", ["a", "list"], "expected a JSON object, got a list"),
+        ("f32", {"format": ["f32"]}, "field 'format'"),
+        ("i16", {"full_scale": None}, "field 'full_scale'"),
+        ("f32", {"n_samples": 10.7}, "field 'n_samples'"),
+        ("f32", {"epoch_s": "0"}, "field 'epoch_s'"),
+    ])
+    def test_malformed_sidecar_is_runtime_error(self, tmp_path, capsys, fmt, edit, field):
+        path = tmp_path / "rec.iq"
+        side = iqio.write_iq(path, SignalBuffer(np.ones(10, dtype=complex), F_S), fmt=fmt)
+        meta = json.loads(side.read_text())
+        side.write_text(json.dumps(dict(meta, **edit) if isinstance(edit, dict) else edit))
+        assert main(["acquire", "--iq", str(path), "--prn", "5",
+                     "--out", str(tmp_path / "x.csv")]) == 1
+        assert field in capsys.readouterr().err
 
     def test_truncated_recording_is_runtime_error(self, tmp_path, capsys):
         path = tmp_path / "rec.iq"

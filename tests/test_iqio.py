@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from synthrf import iqio
 from synthrf.channel import ChannelSpec, generate_synthetic_channel
@@ -159,3 +160,53 @@ def test_write_and_read_allocate_blocks_beside_the_samples(tmp_path, fmt):
     assert len(back) == n
     assert write_peak / n <= 2.0
     assert read_peak / n <= 18.0
+
+
+@pytest.mark.parametrize("fmt,edit,message", [
+    ("f32", [1, 2], "expected a JSON object, got a list"),
+    ("f32", {"format": ["f32"]}, "field 'format' must be one of"),
+    ("f32", {"format": "f64"}, "field 'format' must be one of"),
+    ("i16", {"full_scale": None}, "field 'full_scale' must be a finite number"),
+    ("i16", {"full_scale": "8"}, "field 'full_scale' must be a finite number"),
+    ("f32", {"n_samples": 100.7}, "field 'n_samples' must be a positive integer"),
+    ("f32", {"n_samples": 4.0}, "field 'n_samples' must be a positive integer"),
+    ("f32", {"n_samples": 0}, "field 'n_samples' must be a positive integer"),
+    ("f32", {"n_samples": True}, "field 'n_samples' must be a positive integer"),
+    ("f32", {"sample_rate_hz": float("nan")}, "field 'sample_rate_hz' must be a finite"),
+    ("f32", {"if_offset_hz": [0.0]}, "field 'if_offset_hz' must be a finite number"),
+    ("f32", {"if_offset_hz": 10 ** 400}, "field 'if_offset_hz' must be a finite number"),
+    ("f32", {"epoch_s": {}}, "field 'epoch_s' must be a finite number"),
+])
+def test_malformed_sidecar_rejected_naming_the_field(tmp_path, fmt, edit, message):
+    path = tmp_path / "rec.iq"
+    side = iqio.write_iq(path, SignalBuffer(np.ones(4, dtype=complex), 1e6), fmt=fmt)
+    meta = json.loads(side.read_text())
+    side.write_text(json.dumps(dict(meta, **edit) if isinstance(edit, dict) else edit))
+    with pytest.raises(ValueError, match=message) as exc:
+        iqio.read_iq(path)
+    assert str(side) in str(exc.value)
+
+
+finite = st.floats(-1e30, 1e30, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(parts=st.lists(st.tuples(finite, finite), min_size=1, max_size=300),
+       fmt=st.sampled_from(["f32", "i16"]), data=st.data())
+def test_round_trip_within_quantization_and_any_cut_rejected(tmp_path_factory, parts, fmt,
+                                                             data):
+    # f32: float32 rounding of each component; i16: half an LSB of the full scale, which
+    # is the peak rounded up to a power of two, so nothing clips
+    x = np.array([complex(i, q) for i, q in parts])
+    path = tmp_path_factory.mktemp("iq") / "rec.iq"
+    iqio.write_iq(path, SignalBuffer(x, 1e6), fmt=fmt)
+    back, meta = iqio.read_iq(path)
+    if fmt == "f32":
+        tol = np.maximum(np.abs(x.view(np.float64)) * 2.0 ** -24, 2.0 ** -149)
+    else:
+        tol = np.full(2 * len(x), 0.5 * meta["full_scale"] / 32767 * (1 + 1e-12))
+    assert np.all(np.abs(back.samples.view(np.float64) - x.view(np.float64)) <= tol)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:len(raw) - data.draw(st.integers(1, len(raw)), label="cut")])
+    with pytest.raises(ValueError, match=f"n_samples {len(x)} needs {len(raw)}"):
+        iqio.read_iq(path)

@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import los_source
+
 from synthrf import prs
-from synthrf.channel import (ChannelSpec, PathSpec, SourceSpec, generate_synthetic_channel,
+from synthrf.channel import (ChannelSet, ChannelSpec, PathSeries, PathSpec, SourceChannel,
+                             SourceSpec, earliest_delay_s, generate_synthetic_channel,
                              propagate_and_sum)
-from synthrf.dsp import SignalBuffer, add_awgn
+from synthrf.dsp import SignalBuffer, add_awgn, fft_correlate
 from synthrf.prs import (CarrierConfig, PrsResourceConfig, ResourceGrid,
                          cp_alignment_metric, generate_pdsch_filler,
                          generate_prs_symbols, gnb_clean_waveform, is_prs_slot,
@@ -233,11 +236,12 @@ class TestGnbWaveform:
         np.testing.assert_array_equal(a.samples, b.samples)
 
 
-def two_gnb_scene(duration_s):
-    """The benchmark's prs_scene geometry: two gNBs, each a LOS path and a faded echo."""
+def two_gnb_scene(duration_s, drift=True):
+    """The benchmark's prs_scene geometry: two gNBs, each a LOS path and a faded echo;
+    drift=False holds every delay at its initial value."""
     sources = tuple(SourceSpec(sid, "gnb", True, (
-        PathSpec(initial_delay_s=delay, doppler_hz=f_d, delay_rate=-f_d / 3.5e9),
-        PathSpec(initial_delay_s=delay + lag, doppler_hz=f_d, delay_rate=-f_d / 3.5e9,
+        PathSpec(initial_delay_s=delay, doppler_hz=f_d, delay_rate=-f_d / 3.5e9 * drift),
+        PathSpec(initial_delay_s=delay + lag, doppler_hz=f_d, delay_rate=-f_d / 3.5e9 * drift,
                  mean_power_db=-6.0, fading_doppler_hz=100.0)))
         for sid, delay, f_d, lag in (("g2", 3e-6 + 213.37 / 15.36e6, -150.0, 0.9e-6),
                                      ("g1", 3e-6, 200.0, 1.3e-6)))
@@ -248,20 +252,113 @@ def two_gnb_scene(duration_s):
     return CarrierConfig(n_cell_id=1), resources, channels
 
 
+def slot_grids(carrier, res, n_slots, seed):
+    """The PRS-plus-filler grid of each slot, as gnb_clean_waveform modulates it."""
+    grids = []
+    for s in range(n_slots):
+        grid = generate_prs_symbols(carrier, res, s)
+        grid.cells += generate_pdsch_filler(carrier, seed, s, grid).cells
+        grids.append(grid.cells)
+    return grids
+
+
+def delayed_path_channel(delays_s, coefficients=(0.0, 1.0), n_snap=50, f_ch=1e3):
+    """One gNB "g" of static paths, path 0 at delay 0 (D_min) and the rest after it."""
+    paths = [PathSeries(np.full(n_snap, h, dtype=complex), np.full(n_snap, d))
+             for h, d in zip(coefficients, (0.0, *delays_s))]
+    return ChannelSet([SourceChannel("g", "gnb", True, paths)], f_ch)
+
+
 class TestSynthesizeGnb:
-    def test_one_gnb_at_a_time_equals_propagating_all_at_once(self):
-        # config order g2, g1; both sum in sorted order, as propagate_and_sum does
-        carrier, resources, channels = two_gnb_scene(0.005)
+    @settings(max_examples=30, deadline=None)
+    @given(tau=st.one_of(st.integers(0, 71).map(float),
+                         st.floats(0.0, 72.0, exclude_max=True, allow_subnormal=False)))
+    def test_a_delay_within_the_prefix_turns_each_subcarrier(self, tau):
+        # tau below the shortest prefix (72 samples): every demodulated body sits inside
+        # its delayed symbol, so the FFT sees the grid times e^{-j2pi k tau / n_fft}
+        carrier, res = CarrierConfig(n_cell_id=1), PrsResourceConfig(n_prs_id=5)
+        f_s, n_sc = carrier.sample_rate_hz, carrier.n_subcarriers
+        buf = synthesize_gnb(carrier, {"g": res}, delayed_path_channel([tau / f_s]), 0.002,
+                             seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a late body misaligns the prefix
+            got = ofdm_demodulate(buf, carrier)
+        ramp = np.exp(-2j * np.pi * (np.arange(n_sc) - n_sc // 2) * tau / carrier.n_fft)
+        for grid, cells in zip(got, slot_grids(carrier, res, 2, seed=4), strict=True):
+            err = np.max(np.abs(grid.cells - cells * ramp[:, None])) / np.max(np.abs(cells))
+            assert 20 * np.log10(max(err, 1e-300)) <= -100.0
+
+    @pytest.mark.parametrize("rate", [1e-5, -1e-5])
+    def test_the_correlation_delay_follows_a_drifting_path(self, rate):
+        # over 200 ms the delay moves rate * 0.2 s * f_s = 30.7 samples; each slot's
+        # correlation peak, refined by a parabola, follows D(t) at the slot's middle
+        carrier, res = CarrierConfig(n_cell_id=1), PrsResourceConfig(n_prs_id=5)
+        f_s, sps, n_slots, pad = carrier.sample_rate_hz, carrier.samples_per_slot, 200, 64
+        channels = generate_synthetic_channel(ChannelSpec(
+            (los_source("g", 2e-6, 0.0, kind="gnb", delay_rate=rate),),
+            update_rate_hz=1e3, duration_s=0.2, seed=0))
+        rx = synthesize_gnb(carrier, {"g": res}, channels, 0.2, seed=4).samples
+        replica = gnb_clean_waveform(carrier, res, n_slots, seed=4).samples
+        for s in range(1, n_slots - 1, 3):
+            ref = np.zeros(sps + 2 * pad, dtype=complex)
+            ref[pad:pad + sps] = replica[s * sps:(s + 1) * sps]
+            c = np.abs(fft_correlate(rx[s * sps - pad:(s + 1) * sps + pad], ref))
+            m = int(np.argmax(c))
+            y0, y1, y2 = c[m - 1], c[m], c[(m + 1) % len(c)]
+            lag = m + 0.5 * (y0 - y2) / (y0 - 2 * y1 + y2)
+            lag = (lag + len(c) / 2) % len(c) - len(c) / 2
+            assert lag == pytest.approx(rate * (s + 0.5) * 1e-3 * f_s, abs=0.5)
+
+    def test_a_static_scene_matches_the_fft_delay_away_from_symbol_edges(self):
+        # the FFT delay band-limits each symbol's rectangular window; 16 samples from
+        # any delayed symbol edge the two renderings agree
+        n_slots = 5
+        carrier, resources, channels = two_gnb_scene(0.005, drift=False)
+        got = synthesize_gnb(carrier, resources, channels, 0.005, seed=3).samples
+        want = propagate_and_sum({sid: gnb_clean_waveform(carrier, res, n_slots, seed=3)
+                                  for sid, res in resources.items()}, channels).samples
+        d_min = earliest_delay_s(channels, resources)
+        body = prs._slot_table(carrier)[1][:, 0]
+        n = np.arange(len(got))
+        keep = np.ones(len(got), dtype=bool)
+        for path in (p for src in channels.sources for p in src.paths):
+            m = n - (path.delays_s[0] - d_min) * carrier.sample_rate_hz  # undelayed time
+            inner = (m % carrier.samples_per_slot)[:, None] - body
+            keep &= (m >= 0) & np.any((inner >= 16) & (inner < carrier.n_fft - 16), axis=1)
+        assert keep.mean() > 0.7
+        err = np.sum(np.abs(got[keep] - want[keep]) ** 2) / np.sum(np.abs(want[keep]) ** 2)
+        assert 10 * np.log10(err) <= -50.0
+
+    def test_a_path_delayed_past_the_scene_end_adds_nothing(self):
+        carrier, res = CarrierConfig(n_cell_id=1), {"g": PrsResourceConfig(n_prs_id=5)}
+        one = synthesize_gnb(carrier, res, delayed_path_channel([3.3e-6], (1.0, 0.5)),
+                             0.002, seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            two = synthesize_gnb(carrier, res, delayed_path_channel(
+                [3.3e-6, 0.0025], (1.0, 0.5, 2.0)), 0.002, seed=4)
+        assert np.array_equal(one.samples, two.samples)
+
+    def test_a_delay_that_falls_by_more_than_a_symbol_is_rejected(self):
+        carrier, res = CarrierConfig(n_cell_id=1), {"g": PrsResourceConfig(n_prs_id=5)}
+        delays = np.where(np.arange(300) < 100, 1e-3, 1e-6)  # 15,345 samples in 10 us
+        channels = ChannelSet([SourceChannel("g", "gnb", True, [
+            PathSeries(np.zeros(300), np.zeros(300)), PathSeries(np.ones(300), delays)])], 1e5)
+        with pytest.raises(ValueError, match="source g path 1: delay falls by more than a"):
+            synthesize_gnb(carrier, res, channels, 0.002, seed=4)
+
+    def test_gnbs_sum_in_sorted_order_and_noise_is_add_awgns(self):
+        carrier, resources, channels = two_gnb_scene(0.005)  # config order g2, g1
         got = synthesize_gnb(carrier, resources, channels, 0.005, seed=3,
                              noise_power_dbw=-20.0, noise_seed=4)
-        clean = {sid: gnb_clean_waveform(carrier, res, 5, seed=3)
-                 for sid, res in resources.items()}
-        want = add_awgn(propagate_and_sum(clean, channels), -20.0, 4)
+        clean = synthesize_gnb(carrier, dict(reversed(resources.items())), channels, 0.005,
+                               seed=3)
+        want = add_awgn(clean, -20.0, 4)
         assert np.array_equal(got.samples.view(np.uint64), want.samples.view(np.uint64))
-        assert got.sample_rate_hz == want.sample_rate_hz
+        assert got.sample_rate_hz == want.sample_rate_hz == carrier.sample_rate_hz
 
     def test_peak_allocation_per_sample(self):
-        # the sum, one gNB's waveform, its spectrum and one delayed path; the rest is blocks
+        # the sum; the rest is one slot's temporaries
         carrier, resources, channels = two_gnb_scene(0.03)
         tracemalloc.start()
         try:
@@ -271,7 +368,7 @@ class TestSynthesizeGnb:
         finally:
             tracemalloc.stop()
         assert len(buf) == 460800
-        assert peak / len(buf) <= 72.0
+        assert peak / len(buf) <= 32.0
 
 
 # --- the per-symbol modem the slot table replaced, kept as an oracle ---------
