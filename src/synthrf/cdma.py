@@ -170,6 +170,7 @@ def synthesize(cfg: CdmaGenConfig, channels: ChannelSet) -> SignalBuffer:
             weighted = _interp(t, t_snap, path.coefficients) * rotation
             weighted *= nco(t, _interp(t, t_snap, path.delays_s) - d_min_s)
             total[start:stop] += weighted
-        total[start:stop] *= _phasor(cfg.f_if_hz / cfg.f_s_hz, stop - start, 0.0, start)
+        block = total[start:stop]  # mixed out of place: numpy rounds a one-sample *= differently
+        block[:] = block * _phasor(cfg.f_if_hz / cfg.f_s_hz, stop - start, 0.0, start)
     _add_noise(total, cfg.noise_power_dbw, cfg.noise_seed)
     return SignalBuffer(total, cfg.f_s_hz, if_offset_hz=cfg.f_if_hz)

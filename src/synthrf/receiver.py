@@ -84,12 +84,16 @@ class TrackingTrace:
 
 def sample_code_replica(code: SpreadingCode, sample_rate_hz: float,
                         n_samples: int, shift_samples: float = 0.0) -> np.ndarray:
-    """Code chips sampled at the signal rate, optionally delayed by samples."""
+    """Code chips sampled at the signal rate, optionally delayed by samples: the first L
+    samples, L the fewest whole code periods that are whole samples (else n), repeated."""
     step = code.chipping_rate_hz / sample_rate_hz
+    periods = CODE_LENGTH / step * np.arange(1, n_samples * step // CODE_LENGTH + 1)
+    whole = periods[np.abs(periods - np.round(periods)) < 1e-6]
+    m = np.arange(round(whole[0]) if len(whole) else n_samples)
     # chip pulses are centered on the chip instants after bandlimited
     # reconstruction, so round rather than floor the chip position
-    idx = np.floor((np.arange(n_samples) - shift_samples) * step + 0.5).astype(np.int64)
-    return code.chips[idx % CODE_LENGTH]
+    idx = np.floor((m - shift_samples) * step + 0.5).astype(np.int64)
+    return np.resize(code.chips[idx % CODE_LENGTH], n_samples)
 
 
 def samples_per_chip(code: SpreadingCode, sample_rate_hz: float) -> int:
@@ -103,10 +107,11 @@ def acquire(buf: SignalBuffer, code: SpreadingCode,
     Doppler bins k whole FFT bins (f_s / n) apart share one wiped-off spectrum,
     as fft(x e^{-j2πkm/n}) = roll(fft(x), -k). Each bin's product with the
     replica spectrum is cut to the code's main lobe, its m bins nearest DC
-    (m = next_fast_len(4 R_c n / f_s), at most n), and inverse-transformed at
-    m points; the argmax picks the bin, whose full-rate row gives the code
-    phase. The SNR gate is the ratio of the squared row peak to the mean of
-    the squared row values, excluding lags within one chip of the peak.
+    (m = next_fast_len(4 R_c n / f_s), at most n), and a group's bins are
+    inverse-transformed at m points in one batch; the argmax picks the bin,
+    whose full-rate row gives the code phase. The SNR gate is the ratio of the
+    squared row peak to the mean of the squared row values, excluding lags
+    within one chip of the peak.
     """
     f_s = buf.sample_rate_hz
     n = round(f_s * cfg.coherent_ms * 1e-3)
@@ -120,16 +125,16 @@ def acquire(buf: SignalBuffer, code: SpreadingCode,
     residues = np.round(((freqs - freqs[0]) * n / f_s) % 1.0, 9) % 1.0
     m = min(n, next_fast_len(math.ceil(4 * code.chipping_rate_hz * n / f_s)))
     kk = ((np.arange(m) + m // 2) % m - m // 2) % n  # the m bins nearest DC, in FFT order
+    lobe = replica_fft[kk]
     surface = np.empty((n_bins, m))
     wiped = {}
     for r in np.unique(residues):
         members = np.flatnonzero(residues == r)
         f_g = freqs[members[0]]
         spectrum = np.fft.fft(seg * _phasor(-(buf.if_offset_hz + f_g) / f_s, n))
-        for i in members:
-            shift = round((freqs[i] - f_g) * n / f_s)
-            wiped[i] = spectrum, shift
-            surface[i] = np.abs(np.fft.ifft(spectrum[(kk + shift) % n] * replica_fft[kk])) ** 2
+        shifts = np.round((freqs[members] - f_g) * n / f_s).astype(np.int64)
+        wiped.update((i, (spectrum, shift)) for i, shift in zip(members, shifts))
+        surface[members] = np.abs(np.fft.ifft(spectrum[(kk + shifts[:, None]) % n] * lobe)) ** 2
     bin_idx = int(np.argmax(surface)) // m
     row = surface[bin_idx]
     if m < n:  # the full-rate row at the winning bin
@@ -137,9 +142,9 @@ def acquire(buf: SignalBuffer, code: SpreadingCode,
         row = np.abs(np.fft.ifft(np.roll(spectrum, -shift) * replica_fft)) ** 2
     tau = int(np.argmax(row))
     n_s = samples_per_chip(code, f_s)
-    lags = np.arange(n)
-    dist = np.minimum((lags - tau) % n, (tau - lags) % n)
-    noise = row[dist >= n_s]
+    keep = np.ones(n, dtype=bool)
+    keep[(tau + np.arange(1 - n_s, n_s)) % n] = False
+    noise = row[keep]
     snr_db = 10.0 * np.log10(row[tau] ** 2 / np.mean(noise ** 2))
     acquired = bool(snr_db >= cfg.snr_threshold_db)
     result = AcquisitionResult(
@@ -160,7 +165,8 @@ def fine_frequency(buf: SignalBuffer, code: SpreadingCode, tau_samples: int,
 
     Only the bins of the zero-padded next_fast_len(4 n)-point DFT within
     ±freq_step_hz of the coarse frequency are evaluated, as a two-stage DFT
-    over t = P b + r (P ≈ √n): a matrix product over r, then a sum over b.
+    over t = P b + r (P ≈ √n): a matrix product over r, then a sum over b
+    (the last, partial block as one vector-matrix product).
     """
     f_s = buf.sample_rate_hz
     n = round(f_s * cfg.fine_freq_ms * 1e-3)
@@ -178,11 +184,13 @@ def fine_frequency(buf: SignalBuffer, code: SpreadingCode, tau_samples: int,
     if not len(k):
         raise ValueError(f"fine-frequency centre {center:.0f} Hz is past f_s/2 = {f_s / 2:.0f} Hz")
     p = math.isqrt(n)
-    blocks = np.pad(wiped, (0, -n % p)).reshape(-1, p)
-    inner = blocks @ np.exp(-2j * np.pi * (np.outer(np.arange(p), k) % nfft) / nfft)
-    outer = np.exp(-2j * np.pi * (np.outer(p * np.arange(len(blocks)), k) % nfft) / nfft)
-    spectrum = np.abs(np.sum(inner * outer, axis=0))
-    return float(k[np.argmax(spectrum)] * spacing - buf.if_offset_hz)
+    whole = n - n % p
+    twiddles = np.exp(-2j * np.pi * (np.outer(np.arange(p), k) % nfft) / nfft)
+    outer = np.exp(-2j * np.pi * (np.outer(np.arange(0, n, p), k) % nfft) / nfft)
+    spectrum = np.sum((wiped[:whole].reshape(-1, p) @ twiddles) * outer[:whole // p], axis=0)
+    if whole < n:
+        spectrum += (wiped[whole:] @ twiddles[:n - whole]) * outer[-1]
+    return float(k[np.argmax(np.abs(spectrum))] * spacing - buf.if_offset_hz)
 
 
 def _loop_gains(bw_hz: float, damping: float, gain: float) -> tuple[float, float]:

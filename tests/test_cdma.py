@@ -287,10 +287,24 @@ def anchor_rounding_case():
     return sat_config(sources=((3, "s1"), (7, "s2")), modulate_data=False), channels, 5 * 1024
 
 
+def one_sample_block_case():
+    """1024 * 40 + 1 samples at f_IF 9.5 MHz in 1,024-sample blocks: the last block is one
+    sample, whose mix to IF must round as the whole-scene mix does, although numpy rounds a
+    one-sample in-place complex multiply differently."""
+    duration = (1024 * 40 + 1) / 38.192e6
+    sources = (los_source("s1", 1e-6, 1000.0), los_source("s2", 3.3e-6, -700.0))
+    channels = generate_synthetic_channel(ChannelSpec(sources=sources, update_rate_hz=40e3,
+                                                      duration_s=duration, seed=0))
+    cfg = sat_config(duration_s=duration, f_if_hz=9.5e6, sources=((3, "s1"), (7, "s2")),
+                     modulate_data=False)
+    return cfg, channels, 1024
+
+
 class TestBlockRendering:
     @settings(max_examples=40, deadline=None)
     @given(case=block_cases())
     @example(case=anchor_rounding_case())
+    @example(case=one_sample_block_case())
     def test_blocks_change_no_output_bit(self, case):
         cfg, channels, block = case
         with mock.patch.object(cdma, "BLOCK_SAMPLES", block):

@@ -44,7 +44,55 @@ def clean_scene():
     return buf
 
 
+def per_sample_replica(code, f_s, n, shift_samples=0.0):
+    """Reference replica: chip floor((m - shift) R_c / f_s + 0.5) mod 1023 at every sample m."""
+    m = np.arange(n) - shift_samples
+    return code.chips[np.floor(m * (code.chipping_rate_hz / f_s) + 0.5).astype(np.int64)
+                      % prn.CODE_LENGTH]
+
+
+# stock rates: (chipping rate, sample rate, samples in the fewest whole-sample code periods)
+STOCK_RATES = [(1.023e6, F_S, 38192), (1.023e6, 4.092e6, 4092), (1.023e6, 2.046e6, 2046),
+               (1.023e6, 5e6, 5000), (1.023e6, 16.368e6, 16368), (1.023e6, 25e6, 25000),
+               (10.23e6, F_S, 19096), (10.23e6, 20.46e6, 2046)]
+
+
 class TestReplica:
+    @pytest.mark.parametrize("r_c,f_s,period", STOCK_RATES)
+    def test_matches_the_per_sample_formula(self, r_c, f_s, period):
+        code = prn.generate_ca_code(7, chipping_rate_hz=r_c)
+        for n in (round(f_s * 1e-3), round(f_s * 1e-2), round(f_s * 1e-2) + 1):
+            # integer and fractional shifts across a whole period, none on a half-chip tie
+            for shift in (0.0, 1.0, period // 3, period - 1.0, 0.5, period / 2 + 0.25,
+                          1234.3, period - 0.75, period + 17.125):
+                want = per_sample_replica(code, f_s, n, shift)
+                assert np.array_equal(sample_code_replica(code, f_s, n, shift), want), (n, shift)
+
+    @pytest.mark.parametrize("f_s,ms", [
+        (38.1925e6, 1.0),  # a code period is 38,192.5 samples and two exceed n
+        (F_S + 1.0 / 3.0, 10.0),  # no whole number of periods is a whole number of samples
+    ])
+    def test_falls_back_to_every_sample(self, f_s, ms):
+        code = prn.generate_ca_code(7)
+        n = round(f_s * ms * 1e-3)
+        for shift in (0.0, 250.0, 1234.5):
+            want = per_sample_replica(code, f_s, n, shift)
+            assert np.array_equal(sample_code_replica(code, f_s, n, shift), want)
+
+    def test_differs_only_at_half_chip_ties(self):
+        # 40 MHz at 10.23 Mcps: a period is 4,000 samples, and some samples sit exactly
+        # half a chip from a chip instant, which float rounding breaks either way (a shift
+        # of a third of a period puts samples on ties at every rate)
+        f_s, code = 40e6, prn.generate_ca_code(7, chipping_rate_hz=10.23e6)
+        n = round(f_s * 1e-2) + 8000
+        for shift in (0.0, 3.0, 1999.0, 3999.0, 4000 / 3):
+            x = (np.arange(n) - shift) * (code.chipping_rate_hz / f_s) + 0.5
+            ties = np.abs(x - np.round(x)) < 1e-9
+            differ = sample_code_replica(code, f_s, n, shift) != per_sample_replica(
+                code, f_s, n, shift)
+            assert not np.any(differ & ~ties), shift
+            assert np.any(ties)  # the check is not vacuous
+
     def test_one_sample_per_chip_reproduces_the_code(self):
         code = prn.generate_ca_code(4)
         out = sample_code_replica(code, 1.023e6, 1023)
@@ -140,7 +188,7 @@ def per_bin_surface(buf, code, cfg, m=None):
     m = m or n
     lobe = np.rint(np.fft.fftfreq(m) * m).astype(int)  # negative bins index from the end
     seg = buf.samples[:n]
-    replica_fft = np.conj(np.fft.fft(sample_code_replica(code, f_s, n)))
+    replica_fft = np.conj(np.fft.fft(per_sample_replica(code, f_s, n)))
     n_bins = int(round((cfg.freq_search_max_hz - cfg.freq_search_min_hz)
                        / cfg.freq_step_hz)) + 1
     freqs = cfg.freq_search_min_hz + cfg.freq_step_hz * np.arange(n_bins)
@@ -168,7 +216,7 @@ def full_fft_fine_frequency(buf, code, tau_samples, coarse_hz, cfg=AcquisitionCo
     """Reference fine frequency: argmax over the band of the full zero-padded FFT."""
     f_s = buf.sample_rate_hz
     n = round(f_s * cfg.fine_freq_ms * 1e-3)
-    wiped = buf.samples[:n] * sample_code_replica(code, f_s, n, tau_samples)
+    wiped = buf.samples[:n] * per_sample_replica(code, f_s, n, tau_samples)
     nfft = next_fast_len(4 * n)
     spectrum = np.abs(np.fft.fft(wiped, nfft))
     freqs = np.fft.fftfreq(nfft, 1.0 / f_s)
@@ -181,7 +229,7 @@ def tone_buffer(f_s, if_offset_hz, doppler_hz, tau_samples, duration_s):
     n = round(f_s * duration_s)
     code = prn.generate_ca_code(7)
     rng = np.random.default_rng(3)
-    x = (sample_code_replica(code, f_s, n, tau_samples)
+    x = (per_sample_replica(code, f_s, n, tau_samples)
          * np.exp(2j * np.pi * (if_offset_hz + doppler_hz) * np.arange(n) / f_s)
          + 0.5 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
     return SignalBuffer(x, f_s, if_offset_hz=if_offset_hz), code
@@ -241,14 +289,19 @@ class TestSharedSpectrumSearch:
         (2.046e6, {2046: 21}),
     ])
     def test_inverse_fft_lengths(self, monkeypatch, f_s, lengths):
+        # rows transformed per length: a call on shape (r, m) transforms r rows of m
         buf, code = tone_buffer(f_s, f_s / 4, 1234.5, 700, 0.002)
         assert len(buf) < round(f_s * AcquisitionConfig().fine_freq_ms * 1e-3)
-        calls = []
+        rows = {}
         ifft = np.fft.ifft
-        monkeypatch.setattr(np.fft, "ifft",
-                            lambda a, *r, **k: calls.append(len(a)) or ifft(a, *r, **k))
+
+        def counting_ifft(a, *r, **k):
+            m = np.shape(a)[-1]
+            rows[m] = rows.get(m, 0) + np.size(a) // m
+            return ifft(a, *r, **k)
+        monkeypatch.setattr(np.fft, "ifft", counting_ifft)
         acquire(buf, code)
-        assert {m: calls.count(m) for m in set(calls)} == lengths
+        assert rows == lengths
 
 
 # the acquisition-gate trial: scene A's four LOS satellites and the -30 dB
@@ -320,6 +373,52 @@ class TestBandOnlyFineFrequency:
         buf, code = tone_buffer(4.092e6, 2.046e6 - 300.0, 0.0, 1500, 0.01)
         with pytest.raises(ValueError, match="centre 2046500 Hz is past f_s/2 = 2046000 Hz"):
             fine_frequency(buf, code, 1500, 800.0)
+
+
+def padded_two_stage_fine_frequency(buf, code, tau_samples, coarse_hz,
+                                    cfg=AcquisitionConfig()):
+    """Reference fine frequency: the per-sample replica, then the band's two-stage DFT
+    over a zero-padded copy of the wiped-off samples in rows of isqrt(n)."""
+    f_s = buf.sample_rate_hz
+    n = round(f_s * cfg.fine_freq_ms * 1e-3)
+    wiped = buf.samples[:n] * per_sample_replica(code, f_s, n, tau_samples)
+    nfft = next_fast_len(4 * n)
+    spacing = 1.0 / (nfft * (1.0 / f_s))
+    k = np.arange(-(nfft // 2), (nfft - 1) // 2 + 1)
+    k = k[np.abs(k * spacing - (buf.if_offset_hz + coarse_hz)) <= cfg.freq_step_hz]
+    p = math.isqrt(n)
+    blocks = np.pad(wiped, (0, -n % p)).reshape(-1, p)
+    inner = blocks @ np.exp(-2j * np.pi * (np.outer(np.arange(p), k) % nfft) / nfft)
+    outer = np.exp(-2j * np.pi * (np.outer(p * np.arange(len(blocks)), k) % nfft) / nfft)
+    spectrum = np.abs(np.sum(inner * outer, axis=0))
+    return float(k[np.argmax(spectrum)] * spacing - buf.if_offset_hz)
+
+
+class TestPeriodReplicaFineFrequency:
+    """fine_frequency, on a replica repeated from one code period and without a padded
+    copy, returns the padded per-sample reference's frequency."""
+
+    # scene A's four LOS PRNs at three seeds, and one HAPS source at 10.23 Mcps
+    @pytest.mark.parametrize("haps,seed", [(False, 1), (False, 2), (False, 3), (True, 1)])
+    def test_matches_the_padded_per_sample_reference(self, haps, seed):
+        paths = GATE_PATHS[:1] if haps else GATE_PATHS
+        channels = make_los_channel([d for d, _ in paths], [f for _, f in paths],
+                                    duration_s=0.011, seed=seed)
+        cfg = cdma.CdmaGenConfig(
+            duration_s=0.011, sources=tuple((p, f"s{i + 1}") for i, (p, _) in
+                                            enumerate(GATE_SOURCES[:len(paths)])),
+            noise_power_dbw=cn0_to_noise_dbw(F_S, 45.0), noise_seed=seed, data_seed=seed,
+            **(cdma.HAPS_DEFAULTS if haps else {}))
+        buf = cdma.synthesize(cfg, channels)
+        period = 19096 if haps else 38192  # samples in the replica's repeated stretch
+        for prn_id, _ in cfg.sources:
+            code = prn.generate_ca_code(prn_id, chipping_rate_hz=cfg.r_c_hz)
+            res = acquire(buf, code)
+            for tau in (res.code_phase_samples, 0, period - 1, period // 2 + 7):
+                for coarse_hz in (res.coarse_freq_hz, res.coarse_freq_hz - 250.0):
+                    assert fine_frequency(buf, code, tau, coarse_hz) == \
+                        padded_two_stage_fine_frequency(buf, code, tau, coarse_hz), \
+                        (prn_id, tau, coarse_hz)
 
 
 class TestDiscriminators:
