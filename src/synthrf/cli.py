@@ -178,16 +178,19 @@ def _parse_prn_list(text: str) -> list[int]:
         raise ConfigError(f"bad PRN list {text!r}") from exc
     if not prns:
         raise ConfigError("empty PRN list")
+    if bad := [p for p in prns if not 1 <= p <= 32]:
+        raise ConfigError(f"PRN {bad[0]} is outside 1..32")
     return prns
 
 
 def _acquisitions(args):
     """Acquire each listed PRN: (recording, its ground truth or None, code, result)."""
+    prns = _parse_prn_list(args.prn)  # a usage error before the recording is read
     buf, meta = iqio.read_iq(args.iq)
     acq_cfg = receiver.AcquisitionConfig(snr_threshold_db=args.snr_threshold)
     truth = {int(t["prn_id"]): t for t in meta.get("ground_truth", []) if "prn_id" in t}
     r_c = float(meta.get("r_c_hz", prn.DEFAULT_CHIPPING_RATE_HZ))
-    for prn_id in _parse_prn_list(args.prn):
+    for prn_id in prns:
         code = prn.generate_ca_code(prn_id, chipping_rate_hz=r_c)
         yield buf, truth.get(prn_id), code, receiver.acquire(buf, code, acq_cfg)
 
@@ -241,13 +244,9 @@ def cmd_track(args) -> int:
 
 
 def _write_csv_rows(path, rows: list[dict]) -> None:
-    fields: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in fields:
-                fields.append(key)
+    fields = dict.fromkeys(key for row in rows for key in row)  # first-seen order
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer = csv.DictWriter(fh, fieldnames=list(fields))
         writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {path}")

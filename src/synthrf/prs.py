@@ -7,14 +7,12 @@ the remaining cells, and the OFDM modulator/demodulator pair.
 The modem reads the slot layout (TS 38.211 5.3.1) from one table per carrier,
 _slot_table: each slot sample's index into the slot's 14 stacked IFFT bodies,
 and each body sample's position in the slot.  A slot is one (14, n_fft) IFFT
-and a gather; demodulation is the inverse gather and one FFT; the CP check
-pairs each prefix sample with the body sample it copies.
+and a gather; demodulation is the inverse gather and one FFT.
 """
 
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +46,8 @@ class CarrierConfig:
             raise ValueError("n_cell_id must be in 0..1007")
         if self.scs_hz <= 0:
             raise ValueError("scs_hz must be positive")
+        if self.scs_hz != 15e3:  # cp_length's long prefixes are 15 kHz's (TS 38.211 5.3.1)
+            raise ValueError(f"scs_hz must be 15e3 (15 kHz), got {self.scs_hz:g}")
         if self.n_rb < 1:
             raise ValueError("n_rb must be at least 1")
         if self.n_fft < 12 * self.n_rb:
@@ -242,36 +242,11 @@ def ofdm_modulate(grids, carrier: CarrierConfig) -> SignalBuffer:
     return SignalBuffer(out.ravel(), carrier.sample_rate_hz)
 
 
-def cp_alignment_metric(samples: np.ndarray, carrier: CarrierConfig) -> float:
-    """Mean normalized correlation between each cyclic prefix and the symbol
-    tail it copies, over the symbols that lie whole in the buffer."""
-    source, position, _ = _slot_table(carrier)
-    sps = len(source)
-    copied = position.ravel()[source]  # the body sample each slot sample repeats
-    cp = np.flatnonzero(copied != np.arange(sps))  # the slot's prefix samples
-    at = sps * np.arange(-(-len(samples) // sps))[:, None]  # each slot's first sample
-    # the last body sample of each prefix sample's symbol: whole symbols count
-    last = (at + position[source[cp] // carrier.n_fft, -1]).ravel()
-    whole = last < len(samples)
-    head = samples[(at + cp).ravel()[whole]]
-    tail = samples[(at + copied[cp]).ravel()[whole]]
-    starts = np.flatnonzero(np.diff(last[whole], prepend=-1))  # each symbol's first
-    dot = np.abs(np.add.reduceat(np.conj(head) * tail, starts))
-    denom = (np.sqrt(np.add.reduceat(np.abs(head) ** 2, starts))
-             * np.sqrt(np.add.reduceat(np.abs(tail) ** 2, starts)))
-    live = denom > 0
-    return float(np.mean(dot[live] / denom[live])) if live.any() else 0.0
-
-
 def ofdm_demodulate(buf: SignalBuffer, carrier: CarrierConfig) -> list[ResourceGrid]:
     """Inverse of ofdm_modulate; the buffer must hold a whole number of slots."""
     sps = carrier.samples_per_slot
     if len(buf) % sps:
         raise ValueError("buffer length is not an integer number of slots")
-    metric = cp_alignment_metric(buf.samples, carrier)
-    if metric < 0.5 and np.any(buf.samples):
-        warnings.warn(f"cyclic prefix correlation is low ({metric:.2f}); "
-                      "input may be misaligned")
     position, n_sc = _slot_table(carrier)[1], carrier.n_subcarriers
     bins = (np.arange(n_sc) - n_sc // 2) % carrier.n_fft
     return [ResourceGrid((np.fft.fft(slot[position]) / carrier.n_fft)[:, bins].T)

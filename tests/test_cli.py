@@ -252,9 +252,14 @@ class TestAcquireTrack:
                      "--out", str(tmp_path / "x.csv")]) == 1
         assert "n_samples 10 needs 80" in capsys.readouterr().err
 
-    def test_bad_prn_list_is_usage_error(self, cdma_iq, tmp_path):
-        assert main(["acquire", "--iq", str(cdma_iq),
-                     "--prn", "5,banana", "--out", str(tmp_path / "x.csv")]) == 2
+    def test_bad_prn_list_is_usage_error(self, cdma_iq, tmp_path, capsys):
+        for prns, message in (("5,banana", "bad PRN list '5,banana'"),
+                              ("5,40", "PRN 40 is outside 1..32"),
+                              ("0", "PRN 0 is outside 1..32")):
+            assert main(["acquire", "--iq", str(cdma_iq),
+                         "--prn", prns, "--out", str(tmp_path / "x.csv")]) == 2
+            assert message in capsys.readouterr().err
+            assert not (tmp_path / "x.csv").exists()
 
 
 class TestFromConfig:
@@ -369,6 +374,7 @@ class TestStrictSchema:
         ("cdma", (), "duration_s", 1e-9, "duration_s must hold at least one sample"),
         ("prs", ("carrier",), "scs_hz", 0, "scs_hz must be positive"),
         ("prs", ("carrier",), "n_rb", 0, "n_rb must be at least 1"),
+        ("prs", ("carrier",), "scs_hz", 30e3, "scs_hz must be 15e3"),
     ])
     def test_degenerate_value_is_a_runtime_error(self, workdir, tmp_path, capsys,
                                                  which, route, key, value, message):
