@@ -7,7 +7,6 @@ the channel update rate f_ch.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import warnings
@@ -16,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import BLOCK_SAMPLES, SignalBuffer, _delay_into
+from .dsp import SignalBuffer, _phasor
 
 CHANNEL_FILE_MAGIC = "SYNTHRF-CHAN v1"
 SOURCE_KINDS = ("satellite", "haps", "gnb")
@@ -373,8 +372,10 @@ def earliest_delay_s(channels: ChannelSet, source_ids) -> float:
 
 def propagate_and_sum(clean: dict[str, SignalBuffer], channels: ChannelSet,
                       d_min_s: float | None = None) -> SignalBuffer:
-    """Apply per-path initial delays (referenced to d_min_s, by default
-    earliest_delay_s of the sources), multiply by the interpolated coefficients, and sum."""
+    """Apply per-path initial delays (referenced to d_min_s, by default earliest_delay_s of
+    the sources), multiply by the interpolated coefficients, and sum.  A fractional delay is
+    a spectral phase ramp: exact for bandlimited signals and, unlike interpolation in time,
+    lossless near the Nyquist band, where the IF carrier sits."""
     if not clean:
         raise ValueError("no clean signals supplied")
     bufs = list(clean.values())
@@ -383,15 +384,28 @@ def propagate_and_sum(clean: dict[str, SignalBuffer], channels: ChannelSet,
         raise ValueError("all clean signals must share sample rate and length")
     if d_min_s is None:
         d_min_s = earliest_delay_s(channels, clean)
+    t = np.arange(n) / f_s
     total = np.zeros(n, dtype=np.complex128)
     for sid in sorted(clean):  # fixed order for bit-reproducibility
-        spectrum = functools.cache(functools.partial(np.fft.fft, clean[sid].samples))  # once
-        delayed = np.empty(n, dtype=np.complex128)
+        x = clean[sid].samples
+        spectrum = np.fft.fft(x)
         for path in channels.source(sid).paths:
-            _delay_into(delayed, clean[sid].samples, (path.delays_s[0] - d_min_s) * f_s, spectrum)
-            t_snap = _time_axes(path, channels.update_rate_hz, f_s, n)
-            for a in range(0, n, BLOCK_SAMPLES):
-                b = min(a + BLOCK_SAMPLES, n)
-                coeff = _interp(np.arange(a, b) / f_s, t_snap, path.coefficients)
-                total[a:b] += delayed[a:b] * coeff  # named: temporary reuse rounds differently
+            shift = (path.delays_s[0] - d_min_s) * f_s
+            if shift < 0:
+                raise ValueError("delay_s must be non-negative")
+            if shift >= n:
+                warnings.warn("delay exceeds buffer duration; output is all zeros")
+                shift = float(n)
+            whole = int(np.floor(shift))
+            frac = shift - whole
+            if frac > 1e-12:
+                delayed = spectrum * _phasor(-shift / n, n)
+                # e^{-j2π·fftfreq·shift}: fftfreq is k/n - 1 from bin ⌈n/2⌉ on
+                delayed[(n + 1) // 2:] *= np.exp(2j * np.pi * frac)
+                delayed = np.fft.ifft(delayed)
+            else:
+                delayed = np.roll(x, whole)
+            delayed[:whole] = 0.0  # either way the delay is circular: blank the wrapped head
+            coeff = _interp(t, _time_axes(path, channels.update_rate_hz, f_s, n), path.coefficients)
+            total += delayed * coeff
     return SignalBuffer(total, f_s, bufs[0].if_offset_hz, bufs[0].epoch_s)

@@ -283,14 +283,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("acquire", help="run acquisition on an I/Q recording")
     p.add_argument("--iq", required=True)
     p.add_argument("--prn", required=True, help="comma-separated PRN list")
-    p.add_argument("--snr-threshold", type=float, default=25.0)
+    p.add_argument("--snr-threshold", type=float,
+                   default=receiver.AcquisitionConfig.snr_threshold_db)
     p.add_argument("--out", required=True, help="results CSV")
     p.set_defaults(func=cmd_acquire)
 
     p = sub.add_parser("track", help="acquire and track PRNs from an I/Q recording")
     p.add_argument("--iq", required=True)
     p.add_argument("--prn", required=True, help="comma-separated PRN list")
-    p.add_argument("--snr-threshold", type=float, default=25.0)
+    p.add_argument("--snr-threshold", type=float,
+                   default=receiver.AcquisitionConfig.snr_threshold_db)
     p.add_argument("--out", required=True, help="trace CSV")
     p.set_defaults(func=cmd_track)
     return parser

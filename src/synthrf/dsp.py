@@ -1,8 +1,7 @@
-"""Shared DSP primitives: sample buffers, block phasors, delays, noise, FFT correlation."""
+"""Shared DSP primitives: sample buffers, block phasors, noise, FFT correlation."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,36 +44,6 @@ def _phasor(cycles: float, n: int, phase_rad: float = 0.0, start: int = 0) -> np
     block = np.exp(2j * np.pi * ((head * starts % 1.0 + (cycles - head) * starts) % 1.0)
                    + 1j * phase_rad)
     return (block[:, None] * np.exp(2j * np.pi * cycles * np.arange(p))).ravel()[:n]
-
-
-def _delay_into(out: np.ndarray, x: np.ndarray, shift: float, spectrum) -> None:
-    """out = x delayed by shift samples, the leading gap zero-filled; spectrum() returns fft(x).
-
-    A fractional delay is applied as a spectral phase ramp, which is exact
-    for bandlimited signals and, unlike interpolation in the time domain,
-    does not attenuate content near the Nyquist band (the IF carrier sits
-    high in the band, so interpolation loss would be severe there).
-    """
-    if shift < 0:
-        raise ValueError("delay_s must be non-negative")
-    n = len(x)
-    if shift >= n:
-        warnings.warn("delay exceeds buffer duration; output is all zeros")
-        shift = float(n)
-    whole = int(np.floor(shift))
-    frac = shift - whole
-    if frac > 1e-12:
-        x = spectrum()
-        for a in range(0, n, BLOCK_SAMPLES):
-            b = min(a + BLOCK_SAMPLES, n)
-            np.multiply(x[a:b], _phasor(-shift / n, b - a, 0.0, a), out=out[a:b])
-        # e^{-j2π·fftfreq·shift}: fftfreq is k/n - 1 from bin ⌈n/2⌉ on.  One multiply, not
-        # one per block: a one-sample in-place complex multiply rounds differently
-        out[(n + 1) // 2:] *= np.exp(2j * np.pi * frac)
-        np.fft.ifft(out, out=out)
-    else:
-        out[whole:] = x[:n - whole]
-    out[:whole] = 0.0  # either way the delay is circular: blank the wrapped tail
 
 
 def add_awgn(buf: SignalBuffer, noise_power_dbw: float, seed: int) -> SignalBuffer:

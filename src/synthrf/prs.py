@@ -44,8 +44,6 @@ class CarrierConfig:
     def __post_init__(self):
         if not 0 <= self.n_cell_id <= 1007:
             raise ValueError("n_cell_id must be in 0..1007")
-        if self.scs_hz <= 0:
-            raise ValueError("scs_hz must be positive")
         if self.scs_hz != 15e3:  # cp_length's long prefixes are 15 kHz's (TS 38.211 5.3.1)
             raise ValueError(f"scs_hz must be 15e3 (15 kHz), got {self.scs_hz:g}")
         if self.n_rb < 1:

@@ -374,7 +374,7 @@ class TestDopplerSpectrum:
             doppler_spectrum(cs.source("s1"), 4000.0, nfft=1024)
 
 
-# --- the block path renderer against the whole-array propagation ------------
+# --- propagate_and_sum against a whole-array reference ----------------------
 
 F_S = 2.0 ** 20  # a power of two: a delay of k / F_S seconds is exactly k samples
 F_CH = 2.0 ** 14
@@ -382,7 +382,7 @@ F_CH = 2.0 ** 14
 
 def reference_propagate(clean, channels, d_min_s):
     """Whole-array FFT delay of every path, times its coefficients over the whole
-    scene, summed in source order: what the block renderer must match bit for bit."""
+    scene, summed in source order: what propagate_and_sum must match bit for bit."""
     n = len(next(iter(clean.values())))
     total = np.zeros(n, dtype=np.complex128)
     for sid in sorted(clean):
@@ -445,8 +445,8 @@ def render_cases(draw):
 class TestBlockRenderer:
     @settings(max_examples=40, deadline=None)
     @given(case=render_cases())
-    # a last block of one sample, past the upper half's first bin: a one-sample
-    # in-place complex multiply rounds unlike the same element in a longer one
+    # one sample past a block, beyond the upper half's first bin: where a block loop
+    # would multiply one sample in place, which rounds unlike the same element in a longer one
     @example(case=render_case(16385, 2, [["fraction"] * 3], 16384))
     def test_blocks_change_no_output_bit(self, case):
         clean, channels, block = case
@@ -454,7 +454,6 @@ class TestBlockRenderer:
             warnings.simplefilter("always")
             want = reference_propagate(clean, channels, 0.0)
         with (mock.patch.object(dsp, "BLOCK_SAMPLES", block),
-              mock.patch.object(channel, "BLOCK_SAMPLES", block),
               warnings.catch_warnings(record=True) as got_warnings):
             warnings.simplefilter("always")
             got = propagate_and_sum(clean, channels, d_min_s=0.0).samples
@@ -470,3 +469,11 @@ class TestBlockRenderer:
         with mock.patch.object(np.fft, "fft", wraps=np.fft.fft) as fft:
             propagate_and_sum(clean, channels, d_min_s=0.0)
         assert fft.call_count == 1
+
+    def test_reference_after_a_path_delay_is_rejected(self):
+        n, n_snap = 100, 4
+        clean = {"s0": dsp.SignalBuffer(np.ones(n, dtype=complex), F_S)}
+        paths = [PathSeries(np.ones(n_snap), np.full(n_snap, 2.0 / F_S))]
+        channels = ChannelSet([SourceChannel("s0", "gnb", True, paths)], F_CH)
+        with pytest.raises(ValueError, match="delay_s must be non-negative"):
+            propagate_and_sum(clean, channels, d_min_s=3.0 / F_S)

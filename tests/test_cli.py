@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from synthrf import cdma, iqio, prs
-from synthrf.cli import ConfigError, _build, main
+from synthrf import cdma, iqio, prs, receiver
+from synthrf.cli import ConfigError, _build, build_parser, main
 from synthrf.dsp import SignalBuffer
 
 F_S = 38.192e6
@@ -372,7 +372,7 @@ class TestStrictSchema:
         ("cdma", (), "r_c_hz", 0, "r_c_hz must be positive"),
         ("cdma", (), "t_d_s", 0, "t_d_s must be positive"),
         ("cdma", (), "duration_s", 1e-9, "duration_s must hold at least one sample"),
-        ("prs", ("carrier",), "scs_hz", 0, "scs_hz must be positive"),
+        ("prs", ("carrier",), "scs_hz", 0, "scs_hz must be 15e3"),
         ("prs", ("carrier",), "n_rb", 0, "n_rb must be at least 1"),
         ("prs", ("carrier",), "scs_hz", 30e3, "scs_hz must be 15e3"),
     ])
@@ -428,3 +428,8 @@ class TestUsage:
     def test_help_exits_cleanly(self, capsys):
         assert main(["--help"]) == 0
         assert "synthesize" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["acquire", "track"])
+    def test_snr_threshold_defaults_to_the_acquisition_config(self, command):
+        args = build_parser().parse_args([command, "--iq", "x", "--prn", "1", "--out", "y"])
+        assert args.snr_threshold == receiver.AcquisitionConfig.snr_threshold_db

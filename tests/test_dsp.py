@@ -1,11 +1,12 @@
-"""DSP primitives: the carrier phasor, fractional delay, AWGN injection, and FFT
-correlation."""
+"""DSP primitives: the carrier phasor, AWGN injection, and FFT correlation; and the
+fractional delay of channel.propagate_and_sum."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from synthrf import dsp
+from synthrf.channel import ChannelSet, PathSeries, SourceChannel, propagate_and_sum
 from synthrf.dsp import SignalBuffer
 
 
@@ -16,10 +17,10 @@ def tone(freq_hz, sample_rate_hz, duration_s, amplitude=1.0):
 
 
 def delay(x, shift):
-    """x delayed by shift samples through the renderer's delay routine."""
-    out = np.empty_like(x)
-    dsp._delay_into(out, x, shift, lambda: np.fft.fft(x))
-    return out
+    """x delayed by shift samples through propagate_and_sum: one unit-gain path at 1 Hz."""
+    path = PathSeries(np.ones(len(x)), np.full(len(x), shift))
+    channels = ChannelSet([SourceChannel("s", "gnb", True, [path])], 1.0)
+    return propagate_and_sum({"s": SignalBuffer(x, 1.0)}, channels, d_min_s=0.0).samples
 
 
 def spectral_peak_hz(buf):

@@ -61,7 +61,7 @@ class TestScrambling:
 
 class TestCarrierConfig:
     @pytest.mark.parametrize("field,value,message", [
-        ("scs_hz", 0.0, "scs_hz must be positive"),
+        ("scs_hz", 0.0, "scs_hz must be 15e3"),
         ("n_rb", 0, "n_rb must be at least 1"),
         ("scs_hz", 30e3, "scs_hz must be 15e3"),  # 30 kHz lengthens only symbol 0's prefix
     ])
