@@ -23,9 +23,11 @@ from .dsp import SignalBuffer, _add_noise
 _PRBS_ADVANCE = 1600
 # normal cyclic prefix, the only one supported: 14 OFDM symbols per slot
 SYMBOLS_PER_SLOT = 14
+# QPSK symbol of the bit pair (b0, b1) at index 2 * b0 + b1 (TS 38.211 5.1.3)
+_QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 
 # Per-symbol subcarrier offsets of the PRS comb, indexed by symbol within the
-# resource (TS 38.211 table 7.4.1.7.2-1).
+# resource modulo 12 (TS 38.211 table 7.4.1.7.2-1).
 _COMB_OFFSETS = {
     2: (0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1),
     4: (0, 2, 1, 3, 0, 2, 1, 3, 0, 2, 1, 3),
@@ -95,20 +97,27 @@ class PrsResourceConfig:
     def __post_init__(self):
         if self.muting_pattern is not None:
             object.__setattr__(self, "muting_pattern", tuple(self.muting_pattern))
+            if not all(m in (0, 1) for m in self.muting_pattern):
+                raise ValueError("muting_pattern entries must be 0 or 1")
         if self.comb_size not in _COMB_OFFSETS:
             raise ValueError("comb_size must be one of 2, 4, 6, 12")
         if not 0 <= self.comb_offset < self.comb_size:
             raise ValueError("comb_offset must be less than comb_size")
-        if self.symbol_start + self.num_symbols > SYMBOLS_PER_SLOT:
-            raise ValueError("symbol_start + num_symbols must not exceed 14")
+        if not 0 <= self.symbol_start <= SYMBOLS_PER_SLOT - self.num_symbols:
+            raise ValueError("symbol_start must be in 0..14 - num_symbols")
         if self.num_symbols < 1:
             raise ValueError("num_symbols must be at least 1")
         if not 0 <= self.resource_offset_slots < self.resource_set_period_slots:
             raise ValueError("resource_offset_slots must be below the set period")
         if self.resource_repetition < 1 or self.resource_time_gap_slots < 1:
             raise ValueError("repetition and time gap must be at least 1")
+        if ((self.resource_repetition - 1) * self.resource_time_gap_slots
+                >= self.resource_set_period_slots):
+            raise ValueError("resource_repetition's last slot falls past the set period")
         if not 0 <= self.n_prs_id <= 4095:
             raise ValueError("n_prs_id must be in 0..4095")
+        if self.n_rb_prs < 1:
+            raise ValueError("n_rb_prs must be at least 1")
 
 
 @dataclass
@@ -122,51 +131,43 @@ class ResourceGrid:
         return cls(np.zeros((carrier.n_subcarriers, SYMBOLS_PER_SLOT), dtype=np.complex128))
 
 
+@functools.lru_cache(maxsize=8)
+def _gold_table(length: int) -> np.ndarray:
+    """Bits n = 1600 .. 1600 + length - 1 of x1 (row 0) and of the x2 seeded by c_init bit i
+    alone (row 1 + i).  x2 is linear in its seed over GF(2), so c = x1 ^ x2 is row 0 XOR the
+    rows of c_init's set bits (TS 38.211 5.2.1)."""
+    n = _PRBS_ADVANCE + length
+    x = np.zeros((32, n + 28), dtype=np.int8)
+    x[0, 0] = 1
+    x[1:, :31] = np.eye(31, dtype=np.int8)
+    for i in range(0, n - 31, 28):  # 28 bits a step: bit m + 31 needs bits up to m + 3
+        new = x[:, i + 3:i + 31] ^ x[:, i:i + 28]
+        new[1:] ^= x[1:, i + 2:i + 30] ^ x[1:, i + 1:i + 29]
+        x[:, i + 31:i + 59] = new
+    table = x[:, _PRBS_ADVANCE:n]
+    table.flags.writeable = False
+    return table  # cached, so shared by every caller
+
+
 def _prbs(c_init: int, length: int) -> np.ndarray:
     """Length-31 Gold PRBS c(n) with the standard 1600-step advance."""
-    total = length + _PRBS_ADVANCE + 31
-    x1 = np.zeros(total, dtype=np.int8)
-    x2 = np.zeros(total, dtype=np.int8)
-    x1[0] = 1
-    for i in range(31):
-        x2[i] = (c_init >> i) & 1
-    i = 0
-    while i + 31 < total:
-        blk = min(28, total - 31 - i)
-        x1[i + 31:i + 31 + blk] = x1[i + 3:i + 3 + blk] ^ x1[i:i + blk]
-        x2[i + 31:i + 31 + blk] = (x2[i + 3:i + 3 + blk] ^ x2[i + 2:i + 2 + blk]
-                                   ^ x2[i + 1:i + 1 + blk] ^ x2[i:i + blk])
-        i += blk
-    return x1[_PRBS_ADVANCE:_PRBS_ADVANCE + length] ^ x2[_PRBS_ADVANCE:_PRBS_ADVANCE + length]
+    rows = np.append(1, (c_init >> np.arange(31)) & 1).astype(bool)
+    return np.bitwise_xor.reduce(_gold_table(length)[rows])
 
 
-def _qpsk_from_prbs(c_init: int, n_symbols: int) -> np.ndarray:
-    c = _prbs(c_init, 2 * n_symbols).astype(np.float64)
-    return ((1.0 - 2.0 * c[0::2]) + 1j * (1.0 - 2.0 * c[1::2])) / np.sqrt(2.0)
-
-
-def _prs_c_init(n_prs_id: int, slot: int, symbol: int, symbols_per_slot: int) -> int:
-    n_id = n_prs_id
-    return ((2 ** 22 * (n_id // 1024)
-             + 2 ** 10 * (symbols_per_slot * slot + symbol + 1) * (2 * (n_id % 1024) + 1)
-             + (n_id % 1024)) % 2 ** 31)
+def _prs_c_init(n_prs_id: int, slot: int, symbol: int) -> int:
+    high, low = divmod(n_prs_id, 1024)
+    return (2 ** 22 * high + 2 ** 10 * (SYMBOLS_PER_SLOT * slot + symbol + 1) * (2 * low + 1)
+            + low) % 2 ** 31
 
 
 def is_prs_slot(prs: PrsResourceConfig, slot_index: int) -> bool:
     """True if the slot carries the (unmuted) PRS resource."""
     rel = slot_index - prs.resource_offset_slots
-    if rel < 0:
-        return False
-    pos = rel % prs.resource_set_period_slots
-    active = any(pos == i * prs.resource_time_gap_slots
-                 for i in range(prs.resource_repetition))
-    if not active:
-        return False
-    if prs.muting_pattern:
-        instance = (rel // prs.resource_set_period_slots) % len(prs.muting_pattern)
-        if not prs.muting_pattern[instance]:
-            return False
-    return True
+    pos, gap = rel % prs.resource_set_period_slots, prs.resource_time_gap_slots
+    muting = prs.muting_pattern or (1,)
+    return (rel >= 0 and pos % gap == 0 and pos // gap < prs.resource_repetition
+            and muting[rel // prs.resource_set_period_slots % len(muting)] == 1)
 
 
 def generate_prs_symbols(carrier: CarrierConfig, prs: PrsResourceConfig,
@@ -179,16 +180,12 @@ def generate_prs_symbols(carrier: CarrierConfig, prs: PrsResourceConfig,
     grid = ResourceGrid.empty(carrier)
     if not is_prs_slot(prs, slot_index):
         return grid
-    n_sc_prs = 12 * prs.n_rb_prs
-    per_symbol = n_sc_prs // prs.comb_size
-    offsets = _COMB_OFFSETS[prs.comb_size]
+    n_sc_prs, comb = 12 * prs.n_rb_prs, prs.comb_size
     for j in range(prs.num_symbols):
         l = prs.symbol_start + j
-        c_init = _prs_c_init(prs.n_prs_id, slot_index, l, SYMBOLS_PER_SLOT)
-        symbols = _qpsk_from_prbs(c_init, per_symbol)
-        k = (np.arange(per_symbol) * prs.comb_size
-             + (prs.comb_offset + offsets[j % len(offsets)]) % prs.comb_size)
-        grid.cells[k, l] = symbols
+        c = _prbs(_prs_c_init(prs.n_prs_id, slot_index, l), 2 * n_sc_prs // comb)
+        first = (prs.comb_offset + _COMB_OFFSETS[comb][j % 12]) % comb
+        grid.cells[first:n_sc_prs:comb, l] = _QPSK[2 * c[0::2] + c[1::2]]
     return grid
 
 
@@ -200,8 +197,8 @@ def generate_pdsch_filler(carrier: CarrierConfig, seed: int, slot_index: int,
     rng = np.random.default_rng((seed, slot_index))
     free = (grid if prs_grid is None else prs_grid).cells == 0
     n = int(free.sum())
-    bits = rng.integers(0, 2, (n, 2)).astype(np.float64)
-    grid.cells[free] = ((1.0 - 2.0 * bits[:, 0]) + 1j * (1.0 - 2.0 * bits[:, 1])) / np.sqrt(2.0)
+    bits = rng.integers(0, 2, (n, 2))
+    grid.cells[free] = _QPSK[2 * bits[:, 0] + bits[:, 1]]
     return grid
 
 

@@ -409,7 +409,7 @@ def reference_propagate(clean, channels, d_min_s):
     return total
 
 
-def render_case(n, seed, kinds_per_source, block):
+def render_case(n, seed, kinds_per_source):
     """Clean signals of n samples and a channel of one source per kinds list, each
     path with a whole, fractional or out-of-buffer delay drawn from seed."""
     rng = np.random.default_rng(seed)
@@ -425,36 +425,34 @@ def render_case(n, seed, kinds_per_source, block):
                             np.full(n_snap, shift / F_S)) for shift in sorted(shifts)]
         sources.append(SourceChannel(f"s{s}", "gnb", True, paths))
         clean[f"s{s}"] = dsp.SignalBuffer(rng.standard_normal(n) + 1j * rng.standard_normal(n), F_S)
-    return clean, ChannelSet(sources, F_CH), block
+    return clean, ChannelSet(sources, F_CH)
 
 
 @st.composite
 def render_cases(draw):
-    """Lengths around block boundaries (and at or past 16384 samples, where numpy
-    reuses temporaries), 1-2 sources of 1-3 paths with integer, fractional or
-    out-of-buffer delays, and a block of 1024, 3072, 7168 or 16384 samples."""
+    """Lengths up to, around and past 16384 samples (where numpy reuses temporaries),
+    and 1-2 sources of 1-3 paths with integer, fractional or out-of-buffer delays."""
     n = draw(st.one_of(st.integers(1, 4000), st.integers(16384 - 40, 16384 + 40),
                        st.integers(16385, 40000)))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     kinds = st.sampled_from(["whole", "fraction", "beyond"])
     kinds_per_source = [draw(st.lists(kinds, min_size=1, max_size=3))
                         for _ in range(draw(st.integers(1, 2)))]
-    return render_case(n, seed, kinds_per_source, draw(st.sampled_from([1024, 3072, 7168, 16384])))
+    return render_case(n, seed, kinds_per_source)
 
 
 class TestBlockRenderer:
     @settings(max_examples=40, deadline=None)
     @given(case=render_cases())
-    # one sample past a block, beyond the upper half's first bin: where a block loop
-    # would multiply one sample in place, which rounds unlike the same element in a longer one
-    @example(case=render_case(16385, 2, [["fraction"] * 3], 16384))
+    # one sample past 16384, beyond the upper half's first bin: where a 16384-sample block
+    # loop would multiply one sample in place, which rounds unlike the same element in a longer one
+    @example(case=render_case(16385, 2, [["fraction"] * 3]))
     def test_blocks_change_no_output_bit(self, case):
-        clean, channels, block = case
+        clean, channels = case
         with warnings.catch_warnings(record=True) as want_warnings:
             warnings.simplefilter("always")
             want = reference_propagate(clean, channels, 0.0)
-        with (mock.patch.object(dsp, "BLOCK_SAMPLES", block),
-              warnings.catch_warnings(record=True) as got_warnings):
+        with warnings.catch_warnings(record=True) as got_warnings:
             warnings.simplefilter("always")
             got = propagate_and_sum(clean, channels, d_min_s=0.0).samples
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -375,6 +375,11 @@ class TestStrictSchema:
         ("prs", ("carrier",), "scs_hz", 0, "scs_hz must be 15e3"),
         ("prs", ("carrier",), "n_rb", 0, "n_rb must be at least 1"),
         ("prs", ("carrier",), "scs_hz", 30e3, "scs_hz must be 15e3"),
+        ("prs", ("sources", 0), "symbol_start", -1, "symbol_start must be in 0..14 - num_symbols"),
+        ("prs", ("sources", 0), "n_rb_prs", 0, "n_rb_prs must be at least 1"),
+        ("prs", ("sources", 0), "resource_repetition", 11,
+         "resource_repetition's last slot falls past the set period"),
+        ("prs", ("sources", 0), "muting_pattern", [2], "muting_pattern entries must be 0 or 1"),
     ])
     def test_degenerate_value_is_a_runtime_error(self, workdir, tmp_path, capsys,
                                                  which, route, key, value, message):

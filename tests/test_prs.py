@@ -38,25 +38,61 @@ def reference_prbs(c_init, length):
     return np.array(out, dtype=np.int8)
 
 
+def reference_is_prs_slot(prs, slot_index):
+    """The slot schedule as a scan over the repetitions of the resource."""
+    rel = slot_index - prs.resource_offset_slots
+    if rel < 0:
+        return False
+    pos = rel % prs.resource_set_period_slots
+    if not any(pos == i * prs.resource_time_gap_slots for i in range(prs.resource_repetition)):
+        return False
+    if prs.muting_pattern:
+        instance = (rel // prs.resource_set_period_slots) % len(prs.muting_pattern)
+        if not prs.muting_pattern[instance]:
+            return False
+    return True
+
+
+@st.composite
+def schedules(draw):
+    """Any accepted PRS schedule: period, offset, repetitions that fit it, muting or none."""
+    period = draw(st.integers(1, 40))
+    gap = draw(st.integers(1, period))
+    return PrsResourceConfig(
+        resource_set_period_slots=period,
+        resource_offset_slots=draw(st.integers(0, period - 1)),
+        resource_time_gap_slots=gap,
+        resource_repetition=draw(st.integers(1, (period - 1) // gap + 1)),
+        muting_pattern=draw(st.none() | st.lists(st.integers(0, 1), max_size=8).map(tuple)))
+
+
 class TestScrambling:
-    @pytest.mark.parametrize("c_init", [1, 42, 0x12345678 % 2 ** 31])
-    def test_prbs_matches_reference_loop(self, c_init):
-        np.testing.assert_array_equal(prs._prbs(c_init, 200),
-                                      reference_prbs(c_init, 200))
+    @settings(deadline=None)
+    @given(c_init=st.integers(0, 2 ** 31 - 1), length=st.integers(1, 3300))
+    # three fixed cases at length 200; every seed bit set and none; the longest length
+    @example(c_init=1, length=200)
+    @example(c_init=42, length=200)
+    @example(c_init=0x12345678 % 2 ** 31, length=200)
+    @example(c_init=2 ** 31 - 1, length=27)
+    @example(c_init=0, length=29)
+    @example(c_init=1024, length=3300)
+    def test_gold_table_changes_no_output_bit(self, c_init, length):
+        np.testing.assert_array_equal(prs._prbs(c_init, length),
+                                      reference_prbs(c_init, length))
 
     def test_c_init_formula_frozen_values(self):
         # hand-computed from the standard initialization expression
-        assert prs._prs_c_init(42, 3, 2, 14) == 1024 * 45 * 85 + 42
-        assert prs._prs_c_init(0, 0, 0, 14) == 1024
+        assert prs._prs_c_init(42, 3, 2) == 1024 * 45 * 85 + 42
+        assert prs._prs_c_init(0, 0, 0) == 1024
         # n_prs_id >= 1024 engages the high term
-        assert prs._prs_c_init(1030, 0, 0, 14) == (2 ** 22 + 1024 * 13 + 6)
+        assert prs._prs_c_init(1030, 0, 0) == (2 ** 22 + 1024 * 13 + 6)
 
     def test_qpsk_alphabet(self):
-        syms = prs._qpsk_from_prbs(7, 500)
-        np.testing.assert_allclose(np.abs(syms), 1 / np.sqrt(2) * np.sqrt(2),
-                                   atol=1e-12)
-        quad = set(np.round(syms * np.sqrt(2)).astype(complex))
-        assert quad <= {1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j}
+        # TS 38.211 5.1.3: bits (b0, b1) map to ((1 - 2 b0) + j (1 - 2 b1)) / sqrt(2)
+        b0, b1 = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+        np.testing.assert_array_equal(prs._QPSK[2 * b0 + b1],
+                                      ((1 - 2 * b0) + 1j * (1 - 2 * b1)) / np.sqrt(2))
+        np.testing.assert_allclose(np.abs(prs._QPSK), 1.0, rtol=0, atol=1e-15)
 
 
 class TestCarrierConfig:
@@ -140,6 +176,21 @@ class TestPrsMapping:
             PrsResourceConfig(resource_offset_slots=10,
                               resource_set_period_slots=10)
 
+    @pytest.mark.parametrize("fields,message", [
+        # input that would otherwise be misread or ignored, as each comment says
+        ({"symbol_start": -1}, "symbol_start must be in 0..14 - num_symbols"),  # on 0 and 13
+        ({"n_rb_prs": 0}, "n_rb_prs must be at least 1"),  # every PRS slot empty
+        ({"n_rb_prs": -3}, "n_rb_prs must be at least 1"),
+        # the third repetition, slot 10 of a 10-slot period, would be dropped
+        ({"resource_repetition": 3, "resource_time_gap_slots": 5},
+         "resource_repetition's last slot falls past the set period"),
+        ({"muting_pattern": (2,)}, "muting_pattern entries must be 0 or 1"),  # read as "on"
+        ({"muting_pattern": (1, 0, -1)}, "muting_pattern entries must be 0 or 1"),
+    ])
+    def test_rejects_input_it_would_misread(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            PrsResourceConfig(**fields)
+
 
 class TestSlotSchedule:
     def test_period_and_offset(self):
@@ -161,6 +212,11 @@ class TestSlotSchedule:
         assert is_prs_slot(cfg, 0)
         assert not is_prs_slot(cfg, 10)
         assert is_prs_slot(cfg, 20)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=schedules(), slot=st.integers(0, 400))
+    def test_matches_the_reference_scan(self, cfg, slot):
+        assert is_prs_slot(cfg, slot) == reference_is_prs_slot(cfg, slot)
 
     def test_inactive_slot_yields_empty_grid(self):
         carrier = CarrierConfig(n_cell_id=0)
