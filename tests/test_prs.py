@@ -67,12 +67,14 @@ def schedules(draw):
 
 
 class TestScrambling:
+    @pytest.mark.parametrize("c_init", [1, 42, 0x12345678 % 2 ** 31])
+    def test_prbs_matches_reference_loop(self, c_init):
+        np.testing.assert_array_equal(prs._prbs(c_init, 200),
+                                      reference_prbs(c_init, 200))
+
     @settings(deadline=None)
     @given(c_init=st.integers(0, 2 ** 31 - 1), length=st.integers(1, 3300))
-    # three fixed cases at length 200; every seed bit set and none; the longest length
-    @example(c_init=1, length=200)
-    @example(c_init=42, length=200)
-    @example(c_init=0x12345678 % 2 ** 31, length=200)
+    # every seed bit set and none; the longest length
     @example(c_init=2 ** 31 - 1, length=27)
     @example(c_init=0, length=29)
     @example(c_init=1024, length=3300)
