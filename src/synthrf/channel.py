@@ -62,15 +62,15 @@ class SourceChannel:
         if not self.source_id.isascii() or self.source_id.split() != [self.source_id]:
             raise ValueError(f"source id {self.source_id!r} must be non-empty ASCII, no whitespace")
         if self.source_kind not in SOURCE_KINDS:
-            raise ValueError(f"unknown source kind {self.source_kind!r}")
+            raise ValueError(f"source {self.source_id}: unknown kind {self.source_kind!r}")
         if not self.paths:
-            raise ValueError("source must have at least one path")
+            raise ValueError(f"source {self.source_id}: empty path list")
         counts = {p.n_snapshots for p in self.paths}
         if len(counts) != 1:
-            raise ValueError("all paths of a source must share the snapshot count")
+            raise ValueError(f"source {self.source_id}: paths differ in snapshot count")
         first = self.paths[0].delays_s[0]
         if any(p.delays_s[0] < first for p in self.paths[1:]):
-            raise ValueError("path 0 must be the first-arriving path at snapshot 0")
+            raise ValueError(f"source {self.source_id}: path 0 is not first-arriving at snapshot 0")
 
     @property
     def n_snapshots(self) -> int:
@@ -183,7 +183,7 @@ def generate_synthetic_channel(spec: ChannelSpec) -> ChannelSet:
         raise ValueError("channel spec has no sources")
     n = round(spec.update_rate_hz * spec.duration_s)
     if n <= 0:
-        raise ValueError("duration too short for the update rate")
+        raise ValueError("duration_s holds no snapshot at update_rate_hz")
     rng = np.random.default_rng(spec.seed)
     t = np.arange(n)
     sources = []
@@ -192,9 +192,9 @@ def generate_synthetic_channel(spec: ChannelSpec) -> ChannelSet:
             raise ValueError(f"source {src.source_id}: empty path list")
         paths = []
         for k, p in enumerate(src.paths):
+            if not math.isfinite(p.mean_power_db):
+                raise ValueError(f"source {src.source_id} path {k}: mean_power_db must be finite")
             power = 10.0 ** (p.mean_power_db / 10.0)
-            if not np.isfinite(power) or power < 0:
-                raise ValueError(f"source {src.source_id} path {k}: bad power")
             fading = _fading_series(p, los_path=(src.los and k == 0),
                                     n=n, f_ch=spec.update_rate_hz, rng=rng)
             rot = np.exp(2j * np.pi * p.doppler_hz * t / spec.update_rate_hz)
@@ -287,8 +287,8 @@ def load_channel(path) -> ChannelSet:
             try:
                 sources.append(SourceChannel(source_id=sid, source_kind=kind,
                                              los=los, paths=tuple(paths)))
-            except ValueError as exc:
-                raise ChannelFormatError(f"source {sid}: {exc}") from exc
+            except ValueError as exc:  # each message names the source
+                raise ChannelFormatError(str(exc)) from exc
     if not sources:
         raise ChannelFormatError("channel file contains no sources")
     try:
@@ -347,7 +347,7 @@ def doppler_spectrum(source: SourceChannel, f_ch: float, nfft: int = 1024) -> Sp
     if nfft > n:
         raise ValueError(f"nfft={nfft} exceeds snapshot count {n}")
     if nfft < 2 or nfft & (nfft - 1):
-        raise ValueError("nfft must be a power of two")
+        raise ValueError(f"nfft={nfft} must be a power of two")
     composite = np.sum([p.coefficients for p in source.paths], axis=0)[:nfft]
     window = np.hanning(nfft)
     spectrum = np.abs(np.fft.fft(composite * window)) ** 2

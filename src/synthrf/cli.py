@@ -129,7 +129,7 @@ def cmd_synthesize(args) -> int:
         meta = {"kind": "cdma", "f_if_hz": gen.f_if_hz, "r_c_hz": gen.r_c_hz,
                 "t_d_s": gen.t_d_s, "data_seed": gen.data_seed,
                 "noise_seed": gen.noise_seed, "ground_truth": truth}
-    elif args.kind == "prs":
+    else:  # argparse's choices leave only "prs"
         sources, carrier, fields = _build(
             lambda sources, carrier={}, **fields: (sources, carrier, fields), cfg, "prs config")
         carrier = _build(prs.CarrierConfig, carrier, "prs config carrier")
@@ -147,8 +147,6 @@ def cmd_synthesize(args) -> int:
                                "n_rb": carrier.n_rb,
                                "sample_rate_hz": carrier.sample_rate_hz},
                 "ground_truth": truth}
-    else:
-        raise ConfigError(f"unknown waveform kind {args.kind!r}")
     iqio.write_iq(args.out, buf, metadata=meta, fmt=args.format)
     print(f"wrote {len(buf)} samples at {buf.sample_rate_hz:.6g} Hz to {args.out}")
     return EXIT_OK
@@ -280,21 +278,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("acquire", help="run acquisition on an I/Q recording")
-    p.add_argument("--iq", required=True)
-    p.add_argument("--prn", required=True, help="comma-separated PRN list")
-    p.add_argument("--snr-threshold", type=float,
-                   default=receiver.AcquisitionConfig.snr_threshold_db)
-    p.add_argument("--out", required=True, help="results CSV")
-    p.set_defaults(func=cmd_acquire)
-
-    p = sub.add_parser("track", help="acquire and track PRNs from an I/Q recording")
-    p.add_argument("--iq", required=True)
-    p.add_argument("--prn", required=True, help="comma-separated PRN list")
-    p.add_argument("--snr-threshold", type=float,
-                   default=receiver.AcquisitionConfig.snr_threshold_db)
-    p.add_argument("--out", required=True, help="trace CSV")
-    p.set_defaults(func=cmd_track)
+    for name, func, what, out in (
+            ("acquire", cmd_acquire, "run acquisition on an I/Q recording", "results CSV"),
+            ("track", cmd_track, "acquire and track PRNs from an I/Q recording", "trace CSV")):
+        p = sub.add_parser(name, help=what)
+        p.add_argument("--iq", required=True)
+        p.add_argument("--prn", required=True, help="comma-separated PRN list")
+        p.add_argument("--snr-threshold", type=float,
+                       default=receiver.AcquisitionConfig.snr_threshold_db)
+        p.add_argument("--out", required=True, help=out)
+        p.set_defaults(func=func)
     return parser
 
 

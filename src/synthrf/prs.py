@@ -110,7 +110,7 @@ class PrsResourceConfig:
         if not 0 <= self.resource_offset_slots < self.resource_set_period_slots:
             raise ValueError("resource_offset_slots must be below the set period")
         if self.resource_repetition < 1 or self.resource_time_gap_slots < 1:
-            raise ValueError("repetition and time gap must be at least 1")
+            raise ValueError("resource_repetition and resource_time_gap_slots must be at least 1")
         if ((self.resource_repetition - 1) * self.resource_time_gap_slots
                 >= self.resource_set_period_slots):
             raise ValueError("resource_repetition's last slot falls past the set period")
@@ -190,12 +190,12 @@ def generate_prs_symbols(carrier: CarrierConfig, prs: PrsResourceConfig,
 
 
 def generate_pdsch_filler(carrier: CarrierConfig, seed: int, slot_index: int,
-                          prs_grid: ResourceGrid | None = None) -> ResourceGrid:
+                          prs_grid: ResourceGrid) -> ResourceGrid:
     """Seeded random QPSK on every cell the PRS grid leaves 0, as PRS QPSK never is
     (payload filler only)."""
     grid = ResourceGrid.empty(carrier)
     rng = np.random.default_rng((seed, slot_index))
-    free = (grid if prs_grid is None else prs_grid).cells == 0
+    free = prs_grid.cells == 0
     n = int(free.sum())
     bits = rng.integers(0, 2, (n, 2))
     grid.cells[free] = _QPSK[2 * bits[:, 0] + bits[:, 1]]
@@ -275,7 +275,7 @@ def synthesize_gnb(carrier: CarrierConfig, prs_configs: dict[str, PrsResourceCon
         raise ValueError("no gNB sources configured")
     n_slots = round(duration_s / carrier.slot_duration_s)
     if n_slots < 1:
-        raise ValueError("duration shorter than one slot")
+        raise ValueError("duration_s shorter than one slot")
     d_min_s = earliest_delay_s(channels, prs_configs)
     f_s, n_fft, n_sc = carrier.sample_rate_hz, carrier.n_fft, carrier.n_subcarriers
     n_sym, total = SYMBOLS_PER_SLOT, np.zeros(n_slots * carrier.samples_per_slot, np.complex128)

@@ -60,11 +60,11 @@ class TrackingConfig:
     lock_loss_epochs: int = 50
 
     def __post_init__(self):
-        if min(self.dll_bw_hz, self.pll_bw_hz, self.integration_ms,
-               self.damping, self.correlator_spacing_chips) <= 0:
-            raise ValueError("tracking parameters must be positive")
+        if bad := [n for n in ("dll_bw_hz", "pll_bw_hz", "integration_ms", "damping",
+                               "correlator_spacing_chips") if not getattr(self, n) > 0]:
+            raise ValueError(f"{bad[0]} must be positive")
         if self.correlator_spacing_chips > 1.0:
-            raise ValueError("correlator spacing must not exceed one chip")
+            raise ValueError("correlator_spacing_chips must not exceed one chip")
 
 
 @dataclass
@@ -171,7 +171,7 @@ def fine_frequency(buf: SignalBuffer, code: SpreadingCode, tau_samples: int,
     f_s = buf.sample_rate_hz
     n = round(f_s * cfg.fine_freq_ms * 1e-3)
     if len(buf) < n:
-        raise ValueError("buffer shorter than the fine-frequency length")
+        raise ValueError(f"buffer shorter than fine_freq_ms = {cfg.fine_freq_ms} ms")
     if not 0 <= tau_samples < len(buf):
         raise ValueError("tau_samples out of range")
     wiped = buf.samples[:n] * sample_code_replica(code, f_s, n, tau_samples)
@@ -244,8 +244,8 @@ def track(buf: SignalBuffer, code: SpreadingCode, init: AcquisitionResult,
           cfg: TrackingConfig = TrackingConfig()) -> TrackingTrace:
     """Conventional code/carrier tracking loop producing per-epoch traces.
 
-    The carrier NCO is seeded with the fine frequency estimate, falling back
-    to the coarse bin, and the code NCO starts at the acquired code phase.
+    The carrier NCO starts at acquire's fine frequency (init.fine_freq_hz) and
+    the code NCO at the acquired code phase.
     Each epoch's carrier is a block phasor (dsp._phasor); E, P, L: _early_prompt_late.
     """
     if not init.acquired:
@@ -259,14 +259,9 @@ def track(buf: SignalBuffer, code: SpreadingCode, init: AcquisitionResult,
     if len(buf) < n_epochs_min * pdi * f_s:
         raise ValueError("buffer shorter than 10 integration periods")
 
-    if math.isfinite(init.fine_freq_hz):
-        doppler0 = init.fine_freq_hz
-    else:
-        # a coarse bin can be hundreds of Hz off, far beyond the Costas
-        # pull-in range at these bandwidths; refine before closing the loop
-        doppler0 = fine_frequency(buf, code, init.code_phase_samples,
-                                  init.coarse_freq_hz)
-    carr_freq = buf.if_offset_hz + doppler0
+    if not math.isfinite(init.fine_freq_hz):
+        raise ValueError("fine_freq_hz must be finite; acquire sets it from fine_freq_ms of signal")
+    carr_freq = buf.if_offset_hz + init.fine_freq_hz
     carr_freq_basis = carr_freq
     code_freq = r_c
     chips_per_epoch = round(r_c * pdi)

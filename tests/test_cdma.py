@@ -140,6 +140,10 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             cdma.synthesize(cfg, channels)
 
+    def test_no_sources_rejected(self):
+        with pytest.raises(ValueError, match="config lists no sources"):
+            cdma.synthesize(CdmaGenConfig(), make_los_channel([1e-5], [0.0], duration_s=0.002))
+
     def test_determinism(self):
         channels = make_los_channel([1.0e-5], [500.0], duration_s=0.002)
         cfg = sat_config(duration_s=0.002, noise_power_dbw=-15.0)

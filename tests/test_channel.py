@@ -2,6 +2,7 @@
 file round trips, snapshot interpolation, and the Doppler spectrum."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -214,6 +215,30 @@ class TestFileRoundTrip:
             load_channel(path)
 
 
+    def test_blank_lines_between_sources_are_skipped(self, tmp_path):
+        cs = self._set()
+        path = tmp_path / "channels.chn"
+        store_channel(cs, path)
+        head, rest = path.read_text().split("\n", 1)
+        second = rest.index("source sat2")
+        path.write_text(f"{head}\n\n{rest[:second]}\n \n{rest[second:]}\n")
+        back = load_channel(path)
+        assert back.source_ids == cs.source_ids
+        for a, b in zip(cs.sources, back.sources):
+            np.testing.assert_array_equal(b.paths[0].coefficients, a.paths[0].coefficients)
+            np.testing.assert_array_equal(b.paths[0].delays_s, a.paths[0].delays_s)
+
+    def test_a_blank_line_among_a_paths_records_is_rejected(self, tmp_path):
+        cs = self._set()
+        path = tmp_path / "channels.chn"
+        store_channel(cs, path)
+        lines = path.read_text().splitlines()
+        lines.insert(3, "")  # between sat1's first two records
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ChannelFormatError, match="source sat1 path 0: records are not rows"):
+            load_channel(path)
+
+
 # --- channel files: bit-exact round trips, and every malformation a ChannelFormatError
 
 EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]
@@ -318,6 +343,81 @@ class TestChannelFileProperties:
             raw = b"\n".join(lines)
         path.write_bytes(raw)
         assert_rejected(path)
+
+
+# --- bad input: each rejection names the field or the source at fault
+
+def _series(n=10):
+    return PathSeries(coefficients=np.ones(n, dtype=complex), delays_s=np.full(n, 1e-5))
+
+
+def _source(*paths, kind="satellite"):
+    return SourceChannel(source_id="a", source_kind=kind, los=True, paths=paths)
+
+
+def _spec(**fields):
+    return ChannelSpec(**{"sources": (los_source("a", 1e-5, 0.0),), "duration_s": 0.01,
+                          **fields})
+
+
+def _power_spec(mean_power_db):
+    return _spec(sources=(los_source("a", 1e-5, 0.0, mean_power_db=mean_power_db),))
+
+
+def _load_text(tmp_path, body):
+    path = tmp_path / "channels.chn"
+    path.write_text(channel.CHANNEL_FILE_MAGIC + "\n" + body)
+    return load_channel(path)
+
+
+ROW = "0,1.0,0.0,1e-05\n"
+
+
+def _propagate(*lengths):
+    clean = {sid: dsp.SignalBuffer(np.ones(n, dtype=complex), 1e3)
+             for sid, n in zip("ab", lengths)}
+    channels = ChannelSet((_source(_series()), dataclasses.replace(_source(_series()),
+                                                                   source_id="b")), 1e3)
+    return propagate_and_sum(clean, channels)
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda tmp: _source(), ValueError, "source a: empty path list"),
+    (lambda tmp: _source(_series(10), _series(12)), ValueError,
+     "source a: paths differ in snapshot count"),
+    (lambda tmp: generate_synthetic_channel(_spec(update_rate_hz=0.0)), ValueError,
+     "update_rate_hz must be positive"),
+    (lambda tmp: generate_synthetic_channel(_spec(sources=())), ValueError,
+     "channel spec has no sources"),
+    (lambda tmp: generate_synthetic_channel(_spec(duration_s=1e-6)), ValueError,
+     "duration_s holds no snapshot at update_rate_hz"),
+    (lambda tmp: generate_synthetic_channel(_spec(sources=(SourceSpec("a", "haps", True, ()),))),
+     ValueError, "source a: empty path list"),
+    (lambda tmp: generate_synthetic_channel(_power_spec(math.inf)), ValueError,
+     "source a path 0: mean_power_db must be finite"),
+    (lambda tmp: generate_synthetic_channel(_power_spec(-math.inf)), ValueError,
+     "source a path 0: mean_power_db must be finite"),
+    (lambda tmp: _load_text(tmp, "source a satellite 1 one 1000.0 1\n" + ROW),
+     ChannelFormatError, "bad source header: 'source a satellite 1 one 1000.0 1'"),
+    (lambda tmp: _load_text(tmp, "source a satellite 1 1 1000.0 1\n" + ROW
+                            + "source b satellite 1 1 2000.0 1\n" + ROW),
+     ChannelFormatError, "source b: update rate 2000.0 differs from 1000.0"),
+    (lambda tmp: _load_text(tmp, "source a drone 1 1 1000.0 1\n" + ROW),
+     ChannelFormatError, "source a: unknown kind 'drone'"),
+    (lambda tmp: _load_text(tmp, "source a satellite 1 0 1000.0 1\n"),
+     ChannelFormatError, "source a: empty path list"),
+    (lambda tmp: _load_text(tmp, "\n"), ChannelFormatError, "channel file contains no sources"),
+    (lambda tmp: resample_coefficients(_series(), 1000.0, 500.0, 1), ValueError,
+     "target_rate_hz must be at least f_ch"),
+    (lambda tmp: doppler_spectrum(_source(_series()), 1000.0, nfft=6), ValueError,
+     "nfft=6 must be a power of two"),
+    (lambda tmp: _propagate(), ValueError, "no clean signals supplied"),
+    (lambda tmp: _propagate(8, 9), ValueError,
+     "all clean signals must share sample rate and length"),
+])
+def test_bad_input_is_rejected_naming_the_field_or_source(tmp_path, build, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        build(tmp_path)
 
 
 class TestResampleCoefficients:

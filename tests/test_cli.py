@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from synthrf import cdma, iqio, prs, receiver
+from synthrf import cdma, channel, iqio, prs, receiver
 from synthrf.cli import ConfigError, _build, build_parser, main
 from synthrf.dsp import SignalBuffer
 
@@ -33,6 +33,14 @@ CDMA_CONFIG = {
                 {"prn_id": 9, "source_id": "sat2"}],
     "data_seed": 3,
 }
+
+# a LOS satellite and a -30 dB Rayleigh-faded NLOS one, as in the README's spec
+LOS_NLOS_SPEC = dict(CHANNEL_SPEC, duration_s=0.012, sources=[
+    CHANNEL_SPEC["sources"][0],
+    {"id": "sat2", "kind": "satellite", "los": False,
+     "paths": [{"initial_delay_s": 1.3e-5, "doppler_hz": -1500.0, "mean_power_db": -30.0,
+                "fading_doppler_hz": 400.0}]},
+])
 
 PRS_CONFIG = {
     "duration_s": 0.010,
@@ -94,6 +102,18 @@ class TestGenChannel:
                      "--out", str(out)]) == 1
         assert f"source id {sid!r} must be non-empty" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_seed_option_overrides_the_spec_seed(self, tmp_path):
+        (tmp_path / "spec.json").write_text(json.dumps(LOS_NLOS_SPEC))
+        for name, seed in (("spec", []), ("same", ["--seed", "11"]), ("other", ["--seed", "12"])):
+            assert main(["gen-channel", "--spec", str(tmp_path / "spec.json"),
+                         "--out", str(tmp_path / f"{name}.chn"), *seed]) == 0
+        assert (tmp_path / "same.chn").read_bytes() == (tmp_path / "spec.chn").read_bytes()
+        spec, other = (channel.load_channel(tmp_path / f"{n}.chn") for n in ("spec", "other"))
+        np.testing.assert_array_equal(other.source("sat1").paths[0].coefficients,
+                                      spec.source("sat1").paths[0].coefficients)  # unfaded
+        assert not np.array_equal(other.source("sat2").paths[0].coefficients,
+                                  spec.source("sat2").paths[0].coefficients)
 
     def test_missing_field_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -194,6 +214,23 @@ class TestAcquireTrack:
         last = rows[-1]
         assert abs(float(last["doppler_error_hz"])) <= 50.0
 
+    def test_track_skips_a_rejected_prn(self, tmp_path, capsys):
+        (tmp_path / "spec.json").write_text(json.dumps(LOS_NLOS_SPEC))
+        (tmp_path / "cfg.json").write_text(json.dumps(dict(CDMA_CONFIG, duration_s=0.012)))
+        assert main(["gen-channel", "--spec", str(tmp_path / "spec.json"),
+                     "--out", str(tmp_path / "ch.chn")]) == 0
+        assert main(["synthesize", "cdma", "--config", str(tmp_path / "cfg.json"),
+                     "--channel", str(tmp_path / "ch.chn"), "--out", str(tmp_path / "rec.iq")]) == 0
+        capsys.readouterr()
+        out = tmp_path / "trk.csv"
+        assert main(["track", "--iq", str(tmp_path / "rec.iq"), "--prn", "5,9",
+                     "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "PRN 05: tracked 12 epochs" in printed
+        assert re.search(r"PRN 09: not acquired \(snr=[\d.]+ dB\), skipped", printed)
+        rows = read_rows(out)
+        assert len(rows) == 12 and {r["prn_id"] for r in rows} == {"5"}
+
     @pytest.mark.parametrize("r_c_hz", [1.023e6, 10.23e6])
     def test_code_phase_error_wraps_to_one_code_period(self, tmp_path, r_c_hz):
         # the second source lags the anchor by 1.5 ms: 1.5 code periods at
@@ -255,6 +292,7 @@ class TestAcquireTrack:
     def test_bad_prn_list_is_usage_error(self, cdma_iq, tmp_path, capsys):
         for prns, message in (("5,banana", "bad PRN list '5,banana'"),
                               ("5,40", "PRN 40 is outside 1..32"),
+                              (",", "empty PRN list"),
                               ("0", "PRN 0 is outside 1..32")):
             assert main(["acquire", "--iq", str(cdma_iq),
                          "--prn", prns, "--out", str(tmp_path / "x.csv")]) == 2

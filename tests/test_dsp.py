@@ -192,6 +192,11 @@ class TestFftCorrelate:
         corr = dsp.fft_correlate(a, b)
         assert np.argmax(np.abs(corr)) == 37
 
+    @pytest.mark.parametrize("a,b", [(np.ones(4), np.ones(5)), (np.ones((2, 2)), np.ones((2, 2)))])
+    def test_rejects_unequal_or_multidimensional_inputs(self, a, b):
+        with pytest.raises(ValueError, match="inputs must be 1-D sequences of equal length"):
+            dsp.fft_correlate(a, b)
+
     def test_zero_lag_is_energy(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(256) + 1j * rng.standard_normal(256)

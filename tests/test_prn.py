@@ -115,3 +115,7 @@ def test_spreading_code_validation():
     chips[0] = 0.5
     with pytest.raises(ValueError):
         prn.SpreadingCode(prn_id=1, chips=chips)
+    with pytest.raises(ValueError, match=r"prn_id must be in 1\.\.32, got 0"):
+        prn.SpreadingCode(prn_id=0, chips=np.ones(prn.CODE_LENGTH))
+    with pytest.raises(ValueError, match="chipping_rate_hz must be positive"):
+        prn.generate_ca_code(1, chipping_rate_hz=0.0)

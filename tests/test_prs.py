@@ -1,6 +1,7 @@
 """NR PRS: scrambling-sequence oracles, comb mapping, slot scheduling, OFDM
 numerology, and the modulate/demodulate round trip."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -102,6 +103,8 @@ class TestCarrierConfig:
         ("scs_hz", 0.0, "scs_hz must be 15e3"),
         ("n_rb", 0, "n_rb must be at least 1"),
         ("scs_hz", 30e3, "scs_hz must be 15e3"),  # 30 kHz lengthens only symbol 0's prefix
+        ("n_cell_id", 1008, r"n_cell_id must be in 0\.\.1007"),
+        ("n_fft", 11, r"n_fft must be at least 12\*n_rb"),
     ])
     def test_rejects_degenerate_numerology(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -192,6 +195,35 @@ class TestPrsMapping:
     def test_rejects_input_it_would_misread(self, fields, message):
         with pytest.raises(ValueError, match=message):
             PrsResourceConfig(**fields)
+
+
+def _gnb_channels():
+    spec = ChannelSpec(sources=(los_source("g", 1e-6, 0.0, kind="gnb"),), duration_s=0.002)
+    return generate_synthetic_channel(spec)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: PrsResourceConfig(num_symbols=0), "num_symbols must be at least 1"),
+    (lambda: PrsResourceConfig(resource_repetition=0),
+     "resource_repetition and resource_time_gap_slots must be at least 1"),
+    (lambda: PrsResourceConfig(resource_time_gap_slots=0),
+     "resource_repetition and resource_time_gap_slots must be at least 1"),
+    (lambda: PrsResourceConfig(n_prs_id=4096), "n_prs_id must be in 0..4095"),
+    (lambda: generate_prs_symbols(CarrierConfig(), PrsResourceConfig(), -1),
+     "slot_index must be non-negative"),
+    (lambda: generate_prs_symbols(CarrierConfig(n_rb=24, n_fft=512), PrsResourceConfig(), 0),
+     "n_rb_prs exceeds the carrier bandwidth"),
+    (lambda: ofdm_modulate([ResourceGrid(np.zeros((612, 14), dtype=complex))], CarrierConfig()),
+     "grid shape does not match the carrier config"),
+    (lambda: synthesize_gnb(CarrierConfig(), {}, _gnb_channels(), 0.001, 0),
+     "no gNB sources configured"),
+    (lambda: synthesize_gnb(CarrierConfig(), {"g": PrsResourceConfig()}, _gnb_channels(),
+                            1e-4, 0),
+     "duration_s shorter than one slot"),
+])
+def test_bad_input_is_rejected_naming_the_field(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
 
 
 class TestSlotSchedule:

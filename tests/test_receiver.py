@@ -3,6 +3,7 @@ synthesizer, the SNR gate, fine frequency, discriminators, and tracking."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -170,6 +171,46 @@ class TestFineFrequency:
     def test_rejects_bad_tau(self, clean_scene):
         with pytest.raises(ValueError):
             fine_frequency(clean_scene, prn.generate_ca_code(7), -1, 0.0)
+
+
+def _first_ms(buf, ms):
+    return dataclasses.replace(buf, samples=buf.samples[:round(F_S * ms * 1e-3)])
+
+
+def _acquired(fine_freq_hz):
+    """PRN 7 of clean_scene as acquire reports it, with the given fine frequency."""
+    return AcquisitionResult(prn_id=7, acquired=True, code_phase_samples=1000,
+                             coarse_freq_hz=2500.0, fine_freq_hz=fine_freq_hz, snr_db=40.0)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda buf: AcquisitionConfig(freq_step_hz=0.0), "freq_step_hz must be positive"),
+    (lambda buf: AcquisitionConfig(freq_search_min_hz=5000.0),
+     "freq_search_min_hz must be below freq_search_max_hz"),
+    (lambda buf: AcquisitionConfig(coherent_ms=20.0), "coherent_ms must not exceed fine_freq_ms"),
+    *[(lambda buf, name=name: TrackingConfig(**{name: 0.0}), f"{name} must be positive")
+      for name in ("dll_bw_hz", "pll_bw_hz", "integration_ms", "damping",
+                   "correlator_spacing_chips")],
+    (lambda buf: TrackingConfig(pll_bw_hz=-1.0), "pll_bw_hz must be positive"),
+    (lambda buf: TrackingConfig(correlator_spacing_chips=1.5),
+     "correlator_spacing_chips must not exceed one chip"),
+    (lambda buf: fine_frequency(_first_ms(buf, 5), prn.generate_ca_code(7), 1000, 2500.0),
+     "buffer shorter than fine_freq_ms = 10.0 ms"),
+    (lambda buf: track(_first_ms(buf, 9), prn.generate_ca_code(7), _acquired(2500.0)),
+     "buffer shorter than 10 integration periods"),
+    # the length check comes first, so a short recording keeps its message
+    (lambda buf: track(_first_ms(buf, 9), prn.generate_ca_code(7), _acquired(math.nan)),
+     "buffer shorter than 10 integration periods"),
+    (lambda buf: track(buf, prn.generate_ca_code(7), _acquired(math.nan)),
+     "fine_freq_hz must be finite"),
+    # acquired, but the 12 ms recording is shorter than a 20 ms fine-frequency window
+    (lambda buf: track(buf, prn.generate_ca_code(7), acquire(
+        buf, prn.generate_ca_code(7), AcquisitionConfig(fine_freq_ms=20.0))),
+     "fine_freq_hz must be finite"),
+])
+def test_bad_input_is_rejected_naming_the_field(clean_scene, build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build(clean_scene)
 
 
 def main_lobe_points(code, f_s, n):
