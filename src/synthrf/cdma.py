@@ -5,16 +5,18 @@ R_c * (t_n - tau(t_n)), tau being D[k, t] - D_min interpolated to the sample,
 so the delay varies in time and the code carries its Doppler.  A table lookup
 by the chip pattern around that phase and its fraction gives the band-limited
 chip waveform.  Paths are scaled by their coefficients and summed over
-sources; the sum is mixed to the intermediate frequency once.  synthesize does this
-dsp.BLOCK_SAMPLES at a time, then adds noise to the sum in place, a block of draws at
-a time (all I, then all Q), so only the output is full length.  A path's chip rows
-are anchored once, on its code phases at the first and last sample, which bound all
-others for |dD/dt| < 1; so blocks change no bit.
+sources; the sum is mixed to the intermediate frequency once.  synthesize renders blocks
+of dsp.BLOCK_SAMPLES concurrently, one thread per usable CPU, then adds noise to the sum in
+place, a block of draws at a time (all I, then all Q), so only the output is full length.
+A path's chip rows are anchored once, on its code phases at the first and last sample,
+which bound all others for |dD/dt| < 1; so neither blocks nor the worker count change a bit.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -125,10 +127,11 @@ def _code_nco(code: prn.SpreadingCode, cfg: CdmaGenConfig, t_ends, delay_ends):
     rows = np.correlate((chips < 0).astype(np.int64),
                         q << np.arange(2 * PULSE_HALF_SPAN + 1), "valid")
     offset = q / 2 - (first + PULSE_HALF_SPAN) * q
+    table = _pulse_table(cfg.r_c_hz, cfg.f_s_hz)  # looked up once, not by each (threaded) call
 
     def baseband(t: np.ndarray, delay_s) -> np.ndarray:
         u = ((t - delay_s) * scale + offset).astype(np.int64)
-        return _pulse_table(cfg.r_c_hz, cfg.f_s_hz)[rows[u >> PHASE_BITS] + (u & (q - 1))]
+        return table[rows[u >> PHASE_BITS] + (u & (q - 1))]
     return baseband
 
 
@@ -146,8 +149,8 @@ def generate_clean_signal(code: prn.SpreadingCode, cfg: CdmaGenConfig) -> Signal
 
 
 def synthesize(cfg: CdmaGenConfig, channels: ChannelSet) -> SignalBuffer:
-    """Every path at baseband from the code NCO, delayed from D_min (earliest_delay_s),
-    scaled by its coefficients and summed a block at a time; one mix to IF, then noise."""
+    """Every path from the code NCO, delayed from D_min (earliest_delay_s), scaled by H and summed
+    in blocks rendered concurrently, each mixed to IF, then noise; no worker count moves a bit."""
     if not cfg.sources:
         raise ValueError("config lists no sources")
     d_min_s = earliest_delay_s(channels, [sid for _, sid in cfg.sources])
@@ -160,10 +163,10 @@ def synthesize(cfg: CdmaGenConfig, channels: ChannelSet) -> SignalBuffer:
             t_snap = _time_axes(path, channels.update_rate_hz, cfg.f_s_hz, len(total))
             delay = _interp(ends, t_snap, path.delays_s) - d_min_s
             # e^{-j2 pi f_IF tau[0]}, the old IF-domain delay's constant phase, is kept
-            # only because criteria 3/4 pass on one frozen noise draw (ROADMAP item 1)
+            # only because criteria 3/4 pass on one frozen noise draw (ROADMAP item 2)
             rotation = np.exp(-2j * np.pi * cfg.f_if_hz * delay[0])
             paths.append((path, t_snap, rotation, _code_nco(code, cfg, ends, delay)))
-    for start in range(0, len(total), BLOCK_SAMPLES):
+    def render(start: int) -> None:  # writes only its own block, so blocks run in any order
         stop = min(start + BLOCK_SAMPLES, len(total))
         t = np.arange(start, stop) / cfg.f_s_hz
         for path, t_snap, rotation, nco in paths:
@@ -172,5 +175,8 @@ def synthesize(cfg: CdmaGenConfig, channels: ChannelSet) -> SignalBuffer:
             total[start:stop] += weighted
         block = total[start:stop]  # mixed out of place: numpy rounds a one-sample *= differently
         block[:] = block * _phasor(cfg.f_if_hz / cfg.f_s_hz, stop - start, 0.0, start)
+    starts = range(0, len(total), BLOCK_SAMPLES)  # numpy's interp, gathers, ufuncs drop the GIL
+    with ThreadPoolExecutor(min(len(os.sched_getaffinity(0)), len(starts))) as pool:
+        list(pool.map(render, starts))  # reads every result: a block's exception leaves here
     _add_noise(total, cfg.noise_power_dbw, cfg.noise_seed)
     return SignalBuffer(total, cfg.f_s_hz, if_offset_hz=cfg.f_if_hz)

@@ -192,7 +192,7 @@ def generate_synthetic_channel(spec: ChannelSpec) -> ChannelSet:
             raise ValueError(f"source {src.source_id}: empty path list")
         paths = []
         for k, p in enumerate(src.paths):
-            if not math.isfinite(p.mean_power_db):
+            if not (math.isfinite(p.mean_power_db) and p.mean_power_db <= 3000.0):  # and its power
                 raise ValueError(f"source {src.source_id} path {k}: mean_power_db must be finite")
             power = 10.0 ** (p.mean_power_db / 10.0)
             fading = _fading_series(p, los_path=(src.los and k == 0),

@@ -183,9 +183,12 @@ def _parse_prn_list(text: str) -> list[int]:
 
 def _acquisitions(args):
     """Acquire each listed PRN: (recording, its ground truth or None, code, result)."""
-    prns = _parse_prn_list(args.prn)  # a usage error before the recording is read
+    prns = _parse_prn_list(args.prn)  # usage errors before the recording is read
+    try:
+        acq_cfg = receiver.AcquisitionConfig(snr_threshold_db=args.snr_threshold)
+    except ValueError as exc:
+        raise ConfigError(f"--snr-threshold {args.snr_threshold}: {exc}") from exc
     buf, meta = iqio.read_iq(args.iq)
-    acq_cfg = receiver.AcquisitionConfig(snr_threshold_db=args.snr_threshold)
     truth = {int(t["prn_id"]): t for t in meta.get("ground_truth", []) if "prn_id" in t}
     r_c = float(meta.get("r_c_hz", prn.DEFAULT_CHIPPING_RATE_HZ))
     for prn_id in prns:

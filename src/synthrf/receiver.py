@@ -25,8 +25,11 @@ class AcquisitionConfig:
     keep_surface: bool = False
 
     def __post_init__(self):
-        if self.freq_step_hz <= 0:
-            raise ValueError("freq_step_hz must be positive")
+        for name in ("freq_step_hz", "coherent_ms", "fine_freq_ms"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if not math.isfinite(self.snr_threshold_db):
+            raise ValueError("snr_threshold_db must be finite")
         if self.freq_search_min_hz >= self.freq_search_max_hz:
             raise ValueError("freq_search_min_hz must be below freq_search_max_hz")
         if self.coherent_ms > self.fine_freq_ms:

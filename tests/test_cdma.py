@@ -1,8 +1,11 @@
 """CDMA-BPSK synthesis: config validation, clean-signal structure, the code
 NCO against a resampled reference, time-varying delay, channel application,
-determinism, block rendering against a whole-array reference, and memory."""
+determinism, block rendering on any number of workers against a whole-array
+reference, and memory."""
 
+import dataclasses
 import math
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -304,6 +307,12 @@ def one_sample_block_case():
     return cfg, channels, 1024
 
 
+def noisy(case):
+    """case with noise added, drawn after the blocks are rendered."""
+    cfg, channels, block = case
+    return dataclasses.replace(cfg, noise_power_dbw=-10.0, noise_seed=5), channels, block
+
+
 class TestBlockRendering:
     @settings(max_examples=40, deadline=None)
     @given(case=block_cases())
@@ -315,6 +324,41 @@ class TestBlockRendering:
             got = cdma.synthesize(cfg, channels).samples
         want = reference_synthesize(cfg, channels)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=block_cases(), workers=st.sampled_from([1, 2, 3, "more"]))
+    @example(case=one_sample_block_case(), workers="more")
+    @example(case=noisy(one_sample_block_case()), workers=3)
+    def test_workers_change_no_output_bit(self, case, workers):
+        # "more" asks for a worker beyond the scene's block count; the pool is capped there
+        cfg, channels, block = case
+        blocks = -(-cfg.n_samples // block)
+        cpus = range(blocks + 1 if workers == "more" else workers)
+        pool = mock.Mock(wraps=cdma.ThreadPoolExecutor)
+        with mock.patch.object(cdma, "BLOCK_SAMPLES", block), \
+                mock.patch.object(cdma.os, "sched_getaffinity", return_value=cpus), \
+                mock.patch.object(cdma, "ThreadPoolExecutor", pool):
+            got = cdma.synthesize(cfg, channels).samples
+        pool.assert_called_once_with(min(len(cpus), blocks))
+        want = reference_synthesize(cfg, channels)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_a_failing_block_leaves_synthesize_and_no_worker(self):
+        cfg, channels, block = one_sample_block_case()
+        workers = set()
+
+        def phasor(cycles, n, phase_rad=0.0, start=0):
+            workers.add(threading.current_thread())
+            if start == 7 * block:
+                raise RuntimeError("block 7 failed")
+            return dsp._phasor(cycles, n, phase_rad, start)
+        with mock.patch.object(cdma, "BLOCK_SAMPLES", block), \
+                mock.patch.object(cdma.os, "sched_getaffinity", return_value=range(3)), \
+                mock.patch.object(cdma, "_phasor", phasor), \
+                pytest.raises(RuntimeError, match="block 7 failed"):
+            cdma.synthesize(cfg, channels)
+        assert workers and threading.main_thread() not in workers
+        assert not any(t.is_alive() for t in workers)
 
     def test_clean_signal_matches_the_reference_nco(self):
         cfg = sat_config(duration_s=0.003, t_d_s=0.001, data_seed=4)

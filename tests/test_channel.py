@@ -397,6 +397,9 @@ def _propagate(*lengths):
      "source a path 0: mean_power_db must be finite"),
     (lambda tmp: generate_synthetic_channel(_power_spec(-math.inf)), ValueError,
      "source a path 0: mean_power_db must be finite"),
+    # 10**400 overflows a float: the same error, not an OverflowError
+    (lambda tmp: generate_synthetic_channel(_power_spec(4000.0)), ValueError,
+     "source a path 0: mean_power_db must be finite"),
     (lambda tmp: _load_text(tmp, "source a satellite 1 one 1000.0 1\n" + ROW),
      ChannelFormatError, "bad source header: 'source a satellite 1 one 1000.0 1'"),
     (lambda tmp: _load_text(tmp, "source a satellite 1 1 1000.0 1\n" + ROW

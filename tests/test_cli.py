@@ -299,6 +299,17 @@ class TestAcquireTrack:
             assert message in capsys.readouterr().err
             assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("command", ["acquire", "track"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_snr_threshold_is_usage_error(self, tmp_path, capsys, command, value):
+        # the recording does not exist: the threshold is checked before it is read
+        out = tmp_path / "x.csv"
+        assert main([command, "--iq", str(tmp_path / "missing.iq"), "--prn", "5",
+                     f"--snr-threshold={value}", "--out", str(out)]) == 2
+        assert (f"--snr-threshold {float(value)}: snr_threshold_db must be finite"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestFromConfig:
     def test_int_fields_are_coerced(self):
@@ -418,6 +429,11 @@ class TestStrictSchema:
         ("prs", ("sources", 0), "resource_repetition", 11,
          "resource_repetition's last slot falls past the set period"),
         ("prs", ("sources", 0), "muting_pattern", [2], "muting_pattern entries must be 0 or 1"),
+        ("spec", ("sources", 0, "paths", 0), "mean_power_db", float("inf"),
+         "source sat1 path 0: mean_power_db must be finite"),
+        # 10**400 overflows a float: the same error and exit code, not a traceback
+        ("spec", ("sources", 0, "paths", 0), "mean_power_db", 4000,
+         "source sat1 path 0: mean_power_db must be finite"),
     ])
     def test_degenerate_value_is_a_runtime_error(self, workdir, tmp_path, capsys,
                                                  which, route, key, value, message):

@@ -184,10 +184,15 @@ def _acquired(fine_freq_hz):
 
 
 @pytest.mark.parametrize("build,message", [
-    (lambda buf: AcquisitionConfig(freq_step_hz=0.0), "freq_step_hz must be positive"),
     (lambda buf: AcquisitionConfig(freq_search_min_hz=5000.0),
      "freq_search_min_hz must be below freq_search_max_hz"),
     (lambda buf: AcquisitionConfig(coherent_ms=20.0), "coherent_ms must not exceed fine_freq_ms"),
+    *[(lambda buf, name=name, value=value: AcquisitionConfig(**{name: value}),
+       f"{name} must be positive")
+      for name in ("freq_step_hz", "coherent_ms", "fine_freq_ms")
+      for value in (0.0, -1.0, math.nan)],
+    *[(lambda buf, value=value: AcquisitionConfig(snr_threshold_db=value),
+       "snr_threshold_db must be finite") for value in (math.nan, math.inf, -math.inf)],
     *[(lambda buf, name=name: TrackingConfig(**{name: 0.0}), f"{name} must be positive")
       for name in ("dll_bw_hz", "pll_bw_hz", "integration_ms", "damping",
                    "correlator_spacing_chips")],
