@@ -25,7 +25,7 @@ from scipy import signal as sig
 
 from . import prn
 from .channel import ChannelSet, _interp, _time_axes, earliest_delay_s
-from .dsp import BLOCK_SAMPLES, SignalBuffer, _add_noise, _phasor
+from .dsp import BLOCK_SAMPLES, SignalBuffer, _add_noise, _check_draws, _phasor
 
 HAPS_DEFAULTS = dict(f_s_hz=38.192e6, f_if_hz=15e6, r_c_hz=10.23e6)
 
@@ -34,7 +34,7 @@ HAPS_DEFAULTS = dict(f_s_hz=38.192e6, f_if_hz=15e6, r_c_hz=10.23e6)
 class CdmaGenConfig:
     f_s_hz: float = 38.192e6
     f_if_hz: float = 9.548e6
-    r_c_hz: float = 1.023e6
+    r_c_hz: float = prn.DEFAULT_CHIPPING_RATE_HZ
     t_d_s: float = 0.020  # navigation bit duration
     duration_s: float = 0.001
     sources: tuple[tuple[int, str], ...] = ()  # (prn_id, source_id)
@@ -46,12 +46,13 @@ class CdmaGenConfig:
     def __post_init__(self):
         object.__setattr__(self, "sources", tuple(tuple(s) for s in self.sources))
         for name in ("f_s_hz", "r_c_hz", "t_d_s"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        _check_draws(self.noise_power_dbw, data_seed=self.data_seed, noise_seed=self.noise_seed)
         # the complex working rate must hold the carrier and give the code at
         # least two samples per chip; outer code sidelobes are allowed to wrap
         # (the stock HAPS parameter set is deliberately marginal this way)
-        if abs(self.f_if_hz) >= self.f_s_hz / 2.0:
+        if not abs(self.f_if_hz) < self.f_s_hz / 2.0:  # NaN too
             raise ValueError("f_if_hz must lie inside the complex Nyquist band")
         if self.r_c_hz > self.f_s_hz / 2.0:
             raise ValueError("r_c_hz must not exceed f_s_hz / 2")
@@ -59,8 +60,8 @@ class CdmaGenConfig:
         ratio = self.t_d_s / code_period
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("t_d_s must be an integer multiple of the code period")
-        if self.n_samples < 1:
-            raise ValueError("duration_s must hold at least one sample at f_s_hz")
+        if not math.isfinite(self.f_s_hz * self.duration_s) or self.n_samples < 1:
+            raise ValueError("duration_s must hold at least one sample at f_s_hz, and be finite")
 
     @property
     def n_samples(self) -> int:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import SignalBuffer, _phasor
+from .dsp import SignalBuffer, _check_draws, _phasor
 
 CHANNEL_FILE_MAGIC = "SYNTHRF-CHAN v1"
 SOURCE_KINDS = ("satellite", "haps", "gnb")
@@ -95,10 +95,6 @@ class ChannelSet:
                 return src
         raise KeyError(f"no source {source_id!r} in channel set")
 
-    @property
-    def source_ids(self) -> list[str]:
-        return [s.source_id for s in self.sources]
-
 
 # ---------------------------------------------------------------------------
 # Synthetic channel generation
@@ -177,30 +173,33 @@ def generate_synthetic_channel(spec: ChannelSpec) -> ChannelSet:
     unit-power Ricean fading on a LOS path 0 and Rayleigh fading elsewhere;
     D[k, t] evolves linearly from the initial delay.
     """
-    if spec.update_rate_hz <= 0:
-        raise ValueError("update_rate_hz must be positive")
+    if not 0 < spec.update_rate_hz < math.inf:
+        raise ValueError("update_rate_hz must be positive and finite (a spec's f_ch_hz)")
+    _check_draws(seed=spec.seed)
     if not spec.sources:
         raise ValueError("channel spec has no sources")
-    n = round(spec.update_rate_hz * spec.duration_s)
-    if n <= 0:
-        raise ValueError("duration_s holds no snapshot at update_rate_hz")
+    if not np.isfinite(spec.duration_s) or (n := round(spec.update_rate_hz * spec.duration_s)) < 1:
+        raise ValueError("duration_s holds no snapshot at update_rate_hz, or is not finite")
     rng = np.random.default_rng(spec.seed)
     t = np.arange(n)
     sources = []
     for src in spec.sources:
-        if not src.paths:
-            raise ValueError(f"source {src.source_id}: empty path list")
         paths = []
         for k, p in enumerate(src.paths):
-            if not (math.isfinite(p.mean_power_db) and p.mean_power_db <= 3000.0):  # and its power
-                raise ValueError(f"source {src.source_id} path {k}: mean_power_db must be finite")
-            power = 10.0 ** (p.mean_power_db / 10.0)
-            fading = _fading_series(p, los_path=(src.los and k == 0),
-                                    n=n, f_ch=spec.update_rate_hz, rng=rng)
-            rot = np.exp(2j * np.pi * p.doppler_hz * t / spec.update_rate_hz)
-            coeff = math.sqrt(power) * fading * rot
-            delays = p.initial_delay_s + p.delay_rate * t / spec.update_rate_hz
-            paths.append(PathSeries(coefficients=coeff, delays_s=delays))
+            try:  # each message names the source and path
+                if not (math.isfinite(p.mean_power_db) and p.mean_power_db <= 3000.0):  # and power
+                    raise ValueError("mean_power_db must be finite")
+                if not math.isfinite(p.fading_doppler_hz):  # also where its draw goes unused
+                    raise ValueError("fading_doppler_hz must be finite")
+                power = 10.0 ** (p.mean_power_db / 10.0)
+                fading = _fading_series(p, los_path=(src.los and k == 0),
+                                        n=n, f_ch=spec.update_rate_hz, rng=rng)
+                rot = np.exp(2j * np.pi * p.doppler_hz * t / spec.update_rate_hz)
+                coeff = math.sqrt(power) * fading * rot
+                delays = p.initial_delay_s + p.delay_rate * t / spec.update_rate_hz
+                paths.append(PathSeries(coefficients=coeff, delays_s=delays))
+            except ValueError as exc:
+                raise ValueError(f"source {src.source_id} path {k}: {exc}") from None
         sources.append(SourceChannel(source_id=src.source_id, source_kind=src.kind,
                                      los=src.los, paths=tuple(paths)))
     return ChannelSet(sources=tuple(sources), update_rate_hz=spec.update_rate_hz)

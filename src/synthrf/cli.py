@@ -83,6 +83,8 @@ def cmd_gen_channel(args) -> int:
         return sources, f_ch_hz, fields
     sources, f_ch_hz, fields = _build(split, _load_json(args.spec), "channel spec")
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed {args.seed}: must be non-negative")
         fields["seed"] = args.seed
     spec = _build(channel.ChannelSpec, fields, "channel spec", update_rate_hz=f_ch_hz,
                   sources=tuple(_source_spec(s, f"channel spec source[{i}]")
@@ -118,7 +120,6 @@ def cmd_synthesize(args) -> int:
     channels = channel.load_channel(args.channel)
     if args.kind == "cdma":
         sources, fields = _build(lambda sources, **fields: (sources, fields), cfg, "cdma config")
-        fields.setdefault("data_seed", args.seed)
         gen = _build(cdma.CdmaGenConfig, fields, "cdma config", modulate_data=True, sources=tuple(
             _build(lambda prn_id, source_id: (int(prn_id), str(source_id)),
                    s, f"cdma config source[{i}]") for i, s in enumerate(sources)))
@@ -138,7 +139,6 @@ def cmd_synthesize(args) -> int:
             where = f"prs config source[{i}]"
             sid, res = _build(lambda source_id, **res: (str(source_id), res), src, where)
             resources[sid] = _build(prs.PrsResourceConfig, {"n_rb_prs": carrier.n_rb, **res}, where)
-        fields.setdefault("seed", args.seed)
         buf = _build(prs.synthesize_gnb, fields, "prs config",
                      carrier=carrier, prs_configs=resources, channels=channels)
         truth = _ground_truth(channels, list(resources))
@@ -220,13 +220,12 @@ def cmd_acquire(args) -> int:
 
 
 def cmd_track(args) -> int:
-    trk_cfg = receiver.TrackingConfig()
     rows = []
     for buf, t, code, res in _acquisitions(args):
         if not res.acquired:
             print(f"PRN {code.prn_id:02d}: not acquired (snr={res.snr_db:.1f} dB), skipped")
             continue
-        trace = receiver.track(buf, code, res, trk_cfg)
+        trace = receiver.track(buf, code, res)
         for i in range(len(trace)):
             row = {"prn_id": code.prn_id, "epoch_s": trace.epoch_s[i],
                    "code_delay_samples": trace.code_delay_samples[i],
@@ -271,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel", required=True, help="channel file")
     p.add_argument("--out", required=True, help="output I/Q file")
     p.add_argument("--format", choices=list(iqio.FORMATS), default="f32")
-    p.add_argument("--seed", type=int, default=0, help="data/PRS seed if the config sets none")
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("spectrum", help="export a Doppler spectrum as CSV")

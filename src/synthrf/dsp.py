@@ -56,6 +56,14 @@ def add_awgn(buf: SignalBuffer, noise_power_dbw: float, seed: int) -> SignalBuff
     return replace(buf, samples=samples)
 
 
+def _check_draws(noise_power_dbw: float = -np.inf, **seeds: int) -> None:
+    """Reject a noise power that is NaN, +inf or over 3000 dBW (-inf: no noise), or a seed < 0."""
+    if not noise_power_dbw <= 3000.0:
+        raise ValueError("noise_power_dbw must be finite, or -inf for no noise")
+    if bad := [name for name, seed in seeds.items() if seed < 0]:
+        raise ValueError(f"{bad[0]} must be non-negative")
+
+
 def _add_noise(samples: np.ndarray, noise_power_dbw: float, seed: int) -> None:
     """samples += σ·(I + jQ) in place, drawn BLOCK_SAMPLES at a time: all I, then all Q."""
     if noise_power_dbw == -np.inf:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet, _interp, _time_axes, earliest_delay_s
-from .dsp import SignalBuffer, _add_noise
+from .dsp import SignalBuffer, _add_noise, _check_draws
 
 _PRBS_ADVANCE = 1600
 # normal cyclic prefix, the only one supported: 14 OFDM symbols per slot
@@ -189,17 +189,14 @@ def generate_prs_symbols(carrier: CarrierConfig, prs: PrsResourceConfig,
     return grid
 
 
-def generate_pdsch_filler(carrier: CarrierConfig, seed: int, slot_index: int,
-                          prs_grid: ResourceGrid) -> ResourceGrid:
-    """Seeded random QPSK on every cell the PRS grid leaves 0, as PRS QPSK never is
-    (payload filler only)."""
-    grid = ResourceGrid.empty(carrier)
+def generate_pdsch_filler(seed: int, slot_index: int, prs_grid: ResourceGrid) -> ResourceGrid:
+    """Seeded random QPSK written into every cell the PRS grid leaves 0, as PRS QPSK never is
+    (payload filler only); returns that grid."""
     rng = np.random.default_rng((seed, slot_index))
     free = prs_grid.cells == 0
-    n = int(free.sum())
-    bits = rng.integers(0, 2, (n, 2))
-    grid.cells[free] = _QPSK[2 * bits[:, 0] + bits[:, 1]]
-    return grid
+    bits = rng.integers(0, 2, (int(free.sum()), 2))
+    prs_grid.cells[free] = _QPSK[2 * bits[:, 0] + bits[:, 1]]
+    return prs_grid
 
 
 @functools.lru_cache(maxsize=16)
@@ -250,9 +247,7 @@ def ofdm_demodulate(buf: SignalBuffer, carrier: CarrierConfig) -> list[ResourceG
 
 def _slot_grid(carrier: CarrierConfig, prs_cfg: PrsResourceConfig, slot, seed, with_pdsch):
     grid = generate_prs_symbols(carrier, prs_cfg, slot)
-    if with_pdsch:  # the filler is 0 on the PRS cells, so this adds no rounding
-        grid.cells += generate_pdsch_filler(carrier, seed, slot, grid).cells
-    return grid
+    return generate_pdsch_filler(seed, slot, grid) if with_pdsch else grid
 
 
 def gnb_clean_waveform(carrier: CarrierConfig, prs_cfg: PrsResourceConfig,
@@ -273,9 +268,9 @@ def synthesize_gnb(carrier: CarrierConfig, prs_configs: dict[str, PrsResourceCon
     f_l = tau_l - ceil(tau_l), and fills [S_l, S_l+1) + ceil(tau); then H per sample, noise."""
     if not prs_configs:
         raise ValueError("no gNB sources configured")
-    n_slots = round(duration_s / carrier.slot_duration_s)
-    if n_slots < 1:
-        raise ValueError("duration_s shorter than one slot")
+    _check_draws(noise_power_dbw, seed=seed, noise_seed=noise_seed)
+    if not np.isfinite(duration_s) or (n_slots := round(duration_s / carrier.slot_duration_s)) < 1:
+        raise ValueError("duration_s shorter than one slot, or not finite")
     d_min_s = earliest_delay_s(channels, prs_configs)
     f_s, n_fft, n_sc = carrier.sample_rate_hz, carrier.n_fft, carrier.n_subcarriers
     n_sym, total = SYMBOLS_PER_SLOT, np.zeros(n_slots * carrier.samples_per_slot, np.complex128)

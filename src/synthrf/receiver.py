@@ -13,6 +13,9 @@ from scipy.fft import next_fast_len
 from .dsp import SignalBuffer, _phasor
 from .prn import CODE_LENGTH, SpreadingCode
 
+LOCK_FLOOR_FRACTION = 0.01  # an epoch is weak below this fraction of the first's prompt power
+LOCK_LOSS_EPOCHS = 50  # weak epochs in a row that track reports as loss of lock
+
 
 @dataclass(frozen=True)
 class AcquisitionConfig:
@@ -59,8 +62,6 @@ class TrackingConfig:
     damping: float = 0.707
     carrier_aiding: bool = False
     carrier_freq_hz: float = 1575.42e6  # used only when carrier aiding is on
-    lock_floor_fraction: float = 0.01
-    lock_loss_epochs: int = 50
 
     def __post_init__(self):
         if bad := [n for n in ("dll_bw_hz", "pll_bw_hz", "integration_ms", "damping",
@@ -258,8 +259,7 @@ def track(buf: SignalBuffer, code: SpreadingCode, init: AcquisitionResult,
     chips = code.chips
     r_c = code.chipping_rate_hz
     pdi = cfg.integration_ms * 1e-3
-    n_epochs_min = 10
-    if len(buf) < n_epochs_min * pdi * f_s:
+    if len(buf) < 10 * pdi * f_s:
         raise ValueError("buffer shorter than 10 integration periods")
 
     if not math.isfinite(init.fine_freq_hz):
@@ -284,7 +284,6 @@ def track(buf: SignalBuffer, code: SpreadingCode, init: AcquisitionResult,
     rows = []
     lock_floor = None
     weak_count = 0
-    loss = False
     while True:
         code_step = code_freq / f_s
         blksize = math.ceil((chips_per_epoch - rem_code_phase) / code_step)
@@ -316,10 +315,9 @@ def track(buf: SignalBuffer, code: SpreadingCode, init: AcquisitionResult,
 
         power = abs(c_p) ** 2
         if lock_floor is None:
-            lock_floor = cfg.lock_floor_fraction * power
+            lock_floor = LOCK_FLOOR_FRACTION * power
         weak_count = weak_count + 1 if power < lock_floor else 0
-        if weak_count >= cfg.lock_loss_epochs:
-            loss = True
+        if weak_count >= LOCK_LOSS_EPOCHS:
             break
 
         p += blksize
@@ -330,4 +328,4 @@ def track(buf: SignalBuffer, code: SpreadingCode, init: AcquisitionResult,
     return TrackingTrace(epoch_s=arr[:, 0], code_delay_samples=arr[:, 1],
                          doppler_hz=arr[:, 2], prompt_i=arr[:, 3],
                          prompt_q=arr[:, 4], dll_discriminator=arr[:, 5],
-                         pll_discriminator=arr[:, 6], loss_of_lock=loss)
+                         pll_discriminator=arr[:, 6], loss_of_lock=weak_count >= LOCK_LOSS_EPOCHS)

@@ -77,7 +77,7 @@ class TestContainers:
 
     def test_source_lookup(self):
         cs = make_los_channel([1e-5, 2e-5], [0.0, 100.0], duration_s=0.01)
-        assert cs.source_ids == ["s1", "s2"]
+        assert [s.source_id for s in cs.sources] == ["s1", "s2"]
         assert cs.source("s2").paths[0].delays_s[0] == pytest.approx(2e-5)
         with pytest.raises(KeyError):
             cs.source("nope")
@@ -86,7 +86,7 @@ class TestContainers:
 def test_earliest_delay_covers_only_the_given_sources():
     channels = make_los_channel([2e-5, 1e-5, 3e-5], [0.0, 0.0, 0.0], 0.001)
     assert earliest_delay_s(channels, ["s1", "s3"]) == 2e-5
-    assert earliest_delay_s(channels, channels.source_ids) == 1e-5
+    assert earliest_delay_s(channels, [s.source_id for s in channels.sources]) == 1e-5
 
 
 class TestGenerator:
@@ -160,9 +160,10 @@ class TestFileRoundTrip:
         path = tmp_path / ("channels" + ext)
         store_channel(cs, path)
         back = load_channel(path)
-        assert back.source_ids == cs.source_ids
+        ids = [s.source_id for s in cs.sources]
+        assert [s.source_id for s in back.sources] == ids
         assert back.update_rate_hz == cs.update_rate_hz
-        for sid in cs.source_ids:
+        for sid in ids:
             a, b = cs.source(sid), back.source(sid)
             assert a.los == b.los and a.source_kind == b.source_kind
             for pa, pb in zip(a.paths, b.paths):
@@ -223,7 +224,7 @@ class TestFileRoundTrip:
         second = rest.index("source sat2")
         path.write_text(f"{head}\n\n{rest[:second]}\n \n{rest[second:]}\n")
         back = load_channel(path)
-        assert back.source_ids == cs.source_ids
+        assert [s.source_id for s in back.sources] == [s.source_id for s in cs.sources]
         for a, b in zip(cs.sources, back.sources):
             np.testing.assert_array_equal(b.paths[0].coefficients, a.paths[0].coefficients)
             np.testing.assert_array_equal(b.paths[0].delays_s, a.paths[0].delays_s)

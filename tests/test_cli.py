@@ -377,6 +377,7 @@ class TestStrictSchema:
         ("spec", (), "sources", "channel spec"),
         ("prs", ("sources", 0), "source_id", "prs config source[0]"),
         ("prs", (), "duration_s", "prs config"),
+        ("prs", (), "seed", "prs config"),
     ])
     def test_missing_field_is_usage_error(self, workdir, tmp_path, capsys,
                                           which, route, key, where):
@@ -441,6 +442,67 @@ class TestStrictSchema:
         obj[key] = value
         assert run_with(tmp_path, workdir, which, cfg) == 1
         assert message in capsys.readouterr().err
+
+    NAN, INF = float("nan"), float("inf")
+
+    # each value the library rejects before rendering, and the field its error names
+    @pytest.mark.parametrize("which,route,key,value,message", [
+        ("cdma", (), "noise_power_dbw", NAN, "noise_power_dbw must be finite, or -inf"),
+        ("cdma", (), "noise_power_dbw", INF, "noise_power_dbw must be finite, or -inf"),
+        ("prs", (), "noise_power_dbw", NAN, "noise_power_dbw must be finite, or -inf"),
+        ("prs", (), "noise_power_dbw", INF, "noise_power_dbw must be finite, or -inf"),
+        ("cdma", (), "f_if_hz", NAN, "f_if_hz must lie inside the complex Nyquist band"),
+        ("cdma", (), "duration_s", INF,
+         "duration_s must hold at least one sample at f_s_hz, and be finite"),
+        ("cdma", (), "t_d_s", INF, "t_d_s must be positive and finite"),
+        ("cdma", (), "f_s_hz", INF, "f_s_hz must be positive and finite"),
+        ("prs", (), "duration_s", INF, "duration_s shorter than one slot, or not finite"),
+        ("spec", (), "f_ch_hz", INF, "must be positive and finite (a spec's f_ch_hz)"),
+        ("spec", (), "duration_s", INF,
+         "duration_s holds no snapshot at update_rate_hz, or is not finite"),
+        ("cdma", (), "duration_s", NAN,
+         "duration_s must hold at least one sample at f_s_hz, and be finite"),
+        ("prs", (), "duration_s", NAN, "duration_s shorter than one slot, or not finite"),
+        ("spec", (), "duration_s", NAN,
+         "duration_s holds no snapshot at update_rate_hz, or is not finite"),
+        # 20 ms at -1e-3 s/s takes the 10 us delay to -10 us
+        ("spec", ("sources", 0, "paths", 0), "delay_rate", -1e-3,
+         "source sat1 path 0: delays must be finite and non-negative"),
+        ("spec", ("sources", 0, "paths", 0), "doppler_hz", NAN,
+         "source sat1 path 0: channel coefficients must be finite"),
+        # the path is LOS and unfaded, so its diffuse draw is unused
+        ("spec", ("sources", 0, "paths", 0), "fading_doppler_hz", NAN,
+         "source sat1 path 0: fading_doppler_hz must be finite"),
+        ("cdma", (), "data_seed", -3, "data_seed must be non-negative"),
+        ("cdma", (), "noise_seed", -3, "noise_seed must be non-negative"),
+        ("prs", (), "seed", -3, "error: seed must be non-negative"),
+        ("prs", (), "noise_seed", -3, "noise_seed must be non-negative"),
+        ("spec", (), "seed", -3, "error: seed must be non-negative"),
+    ])
+    def test_bad_number_is_a_runtime_error_naming_the_field(self, workdir, tmp_path, capsys,
+                                                            which, route, key, value, message):
+        cfg, obj = copy_at(BASE[which], route)
+        obj[key] = value
+        assert run_with(tmp_path, workdir, which, cfg) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not list(tmp_path.glob("out.*"))
+
+    def test_negative_seed_flag_is_usage_error(self, workdir, tmp_path, capsys):
+        out = tmp_path / "x.chn"
+        assert main(["gen-channel", "--spec", str(workdir / "channel_spec.json"),
+                     "--out", str(out), "--seed", "-3"]) == 2
+        assert "--seed -3: must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_synthesize_has_no_seed_option(self, workdir, tmp_path, capsys):
+        # the config sets the seed: data_seed for CDMA (default 0), seed for PRS (required)
+        assert main(["synthesize", "cdma", "--config", str(workdir / "cdma_config.json"),
+                     "--channel", str(workdir / "channels.chn"),
+                     "--out", str(tmp_path / "x.iq"), "--seed", "1"]) == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert main(["synthesize", "--help"]) == 0
+        assert "--seed" not in capsys.readouterr().out
 
     def test_non_object_entry_is_usage_error(self, workdir, tmp_path, capsys):
         cfg = dict(CDMA_CONFIG, sources=[[5, "sat1"]])

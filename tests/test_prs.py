@@ -1,6 +1,7 @@
 """NR PRS: scrambling-sequence oracles, comb mapping, slot scheduling, OFDM
 numerology, and the modulate/demodulate round trip."""
 
+import dataclasses
 import re
 import tracemalloc
 import warnings
@@ -259,15 +260,51 @@ class TestSlotSchedule:
         assert not grid.cells.any()
 
 
+def two_grid_slot(carrier, res, slot, seed):
+    """A slot's cells as PRS grid plus a separately drawn filler grid, 0 on the PRS cells."""
+    grid = generate_prs_symbols(carrier, res, slot)
+    filler = ResourceGrid.empty(carrier)
+    rng = np.random.default_rng((seed, slot))
+    free = grid.cells == 0
+    bits = rng.integers(0, 2, (int(free.sum()), 2))
+    filler.cells[free] = prs._QPSK[2 * bits[:, 0] + bits[:, 1]]
+    grid.cells += filler.cells
+    return grid.cells
+
+
+@st.composite
+def slot_grid_cases(draw):
+    """Any carrier, a PRS resource on it (comb, symbols, schedule with muting), a seed, a slot."""
+    n_rb = draw(st.integers(1, 52))
+    carrier = CarrierConfig(n_cell_id=draw(st.integers(0, 1007)), n_rb=n_rb,
+                            n_fft=draw(st.integers(max(15, 12 * n_rb), 1024)))
+    comb = draw(st.sampled_from([2, 4, 6, 12]))
+    num_symbols = draw(st.integers(1, 14))
+    res = dataclasses.replace(
+        draw(schedules()), comb_size=comb, comb_offset=draw(st.integers(0, comb - 1)),
+        num_symbols=num_symbols, symbol_start=draw(st.integers(0, 14 - num_symbols)),
+        n_prs_id=draw(st.integers(0, 4095)), n_rb_prs=draw(st.integers(1, n_rb)))
+    return carrier, res, draw(st.integers(0, 2 ** 32)), draw(st.integers(0, 400))
+
+
 class TestGridComposition:
     def test_pdsch_fills_the_complement(self):
         carrier = CarrierConfig(n_cell_id=0)
-        cfg = PrsResourceConfig()
-        prs_grid = generate_prs_symbols(carrier, cfg, 0)
-        filler = generate_pdsch_filler(carrier, seed=0, slot_index=0,
-                                       prs_grid=prs_grid)
-        # every cell holds exactly one of the two: the filler is 0 where PRS is not
-        assert ((prs_grid.cells != 0) ^ (filler.cells != 0)).all()
+        prs_grid = generate_prs_symbols(carrier, PrsResourceConfig(), 0)
+        prs_cells = prs_grid.cells.copy()
+        grid = generate_pdsch_filler(seed=0, slot_index=0, prs_grid=prs_grid)
+        # written into the PRS grid: each PRS cell kept, each empty cell given a QPSK symbol
+        assert grid is prs_grid
+        np.testing.assert_array_equal(grid.cells[prs_cells != 0], prs_cells[prs_cells != 0])
+        assert np.isin(grid.cells[prs_cells == 0], prs._QPSK).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=slot_grid_cases())
+    def test_in_place_filler_changes_no_output_bit(self, case):
+        carrier, res, seed, slot = case
+        got = prs._slot_grid(carrier, res, slot, seed, with_pdsch=True).cells
+        want = two_grid_slot(carrier, res, slot, seed)
+        assert got.tobytes() == want.tobytes()  # bit for bit
 
 
 class TestOfdm:
@@ -329,12 +366,8 @@ def two_gnb_scene(duration_s, drift=True):
 
 def slot_grids(carrier, res, n_slots, seed):
     """The PRS-plus-filler grid of each slot, as gnb_clean_waveform modulates it."""
-    grids = []
-    for s in range(n_slots):
-        grid = generate_prs_symbols(carrier, res, s)
-        grid.cells += generate_pdsch_filler(carrier, seed, s, grid).cells
-        grids.append(grid.cells)
-    return grids
+    return [generate_pdsch_filler(seed, s, generate_prs_symbols(carrier, res, s)).cells
+            for s in range(n_slots)]
 
 
 def delayed_path_channel(delays_s, coefficients=(0.0, 1.0), n_snap=50, f_ch=1e3):

@@ -14,7 +14,7 @@ from synthrf import cdma, prn, receiver
 from synthrf.channel import (ChannelSpec, generate_synthetic_channel,
                              propagate_and_sum)
 from synthrf.dsp import SignalBuffer, add_awgn
-from synthrf.receiver import (AcquisitionConfig, AcquisitionResult,
+from synthrf.receiver import (LOCK_LOSS_EPOCHS, AcquisitionConfig, AcquisitionResult,
                               TrackingConfig, acquire, dll_discriminator,
                               fine_frequency, pll_discriminator,
                               sample_code_replica, samples_per_chip, track)
@@ -638,10 +638,10 @@ class TestTrack:
         cut[round(F_S * 0.02):] = 0.0
         gated = SignalBuffer(cut, F_S, if_offset_hz=buf.if_offset_hz)
         res = acquire(buf, prn.generate_ca_code(3))
-        trace = track(gated, prn.generate_ca_code(3), res,
-                      TrackingConfig(lock_loss_epochs=20))
+        trace = track(gated, prn.generate_ca_code(3), res)
+        # flagged within LOCK_LOSS_EPOCHS + 2 epochs of the dropout, 20 one-ms epochs in
         assert trace.loss_of_lock
-        assert len(trace) < 60
+        assert len(trace) <= 20 + LOCK_LOSS_EPOCHS + 2
 
     def test_carrier_aided_code_follows_code_doppler(self):
         # the delay drifts as the 4 kHz Doppler says it must, about half a
