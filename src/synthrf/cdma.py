@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import signal as sig
 
 from . import prn
 from .channel import ChannelSet, _interp, _time_axes, earliest_delay_s
@@ -78,7 +77,7 @@ PHASE_BITS = 8  # the table resolves 2**PHASE_BITS fractions of a chip
 
 # Anti-alias FIR design: Kaiser-windowed sinc, >=60 dB stopband, cutoff at
 # 0.45x the lower of the two rates with the transition band ending at the
-# lower Nyquist.
+# lower Nyquist; length and beta are Kaiser's (1974), as scipy's kaiserord and firwin.
 _FILTER_ATTEN_DB = 65.0
 _FILTER_CUTOFF_FRAC = 0.45
 _FILTER_WIDTH_FRAC = 0.10
@@ -88,11 +87,13 @@ def design_antialias_fir(source_hz: float, target_hz: float, up: float) -> np.nd
     """Kaiser-windowed lowpass for polyphase resampling, at the upsampled rate."""
     min_rate = min(source_hz, target_hz)
     up_nyquist = up * source_hz / 2.0
-    numtaps, beta = sig.kaiserord(_FILTER_ATTEN_DB,
-                                  _FILTER_WIDTH_FRAC * min_rate / up_nyquist)
+    width = _FILTER_WIDTH_FRAC * min_rate / up_nyquist
+    numtaps = math.ceil((_FILTER_ATTEN_DB - 7.95) / 2.285 / (np.pi * width) + 1)  # Kaiser's length
     numtaps += 1 - numtaps % 2  # odd length, symmetric
-    return sig.firwin(numtaps, _FILTER_CUTOFF_FRAC * min_rate / up_nyquist,
-                      window=("kaiser", beta))
+    cutoff = _FILTER_CUTOFF_FRAC * min_rate / up_nyquist
+    h = cutoff * np.sinc(cutoff * (np.arange(numtaps) - (numtaps - 1) / 2))
+    h *= np.kaiser(numtaps, 0.1102 * (_FILTER_ATTEN_DB - 8.7))  # Kaiser's beta above 50 dB
+    return h / np.sum(h)  # unit DC gain
 
 
 @lru_cache(maxsize=8)

@@ -68,6 +68,9 @@ def _path_spec(cfg, where: str) -> channel.PathSpec:
     def split(rician_k_db: float = None, **fields):
         return rician_k_db, fields
     k_db, fields = _build(split, cfg, where)
+    if k_db is not None and not (abs(k_db) <= 3000.0 or math.isinf(k_db)):  # NaN too
+        raise ConfigError(f"{where}: field 'rician_k_db' must lie in [-3000, 3000] dB, "
+                          f"or be Infinity or -Infinity, got {k_db}")
     k = channel.PathSpec.rician_k if k_db is None else 10.0 ** (k_db / 10.0)
     return _build(channel.PathSpec, fields, where, rician_k=k)
 

@@ -28,8 +28,10 @@ def write_iq(path, buf: SignalBuffer, metadata: dict | None = None,
         raise ValueError(f"format must be one of {FORMATS}")
     path = Path(path)
     interleaved = np.ascontiguousarray(buf.samples).view(np.float64)  # I, Q, I, Q, ...
+    peak = max(float(np.max(interleaved)), -float(np.min(interleaved)))
+    if fmt == "f32" and peak > (limit := float(np.finfo(np.float32).max)):
+        raise ValueError(f"peak {peak:.6g} exceeds float32's limit {limit:.6g}")
     if fmt == "i16" and i16_full_scale is None:
-        peak = max(float(np.max(interleaved)), -float(np.min(interleaved)))
         i16_full_scale = float(2.0 ** np.ceil(np.log2(peak))) if peak > 0 else 1.0
     with open(path, "wb") as fh:
         for a in range(0, len(interleaved), 2 * BLOCK_SAMPLES):

@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .dsp import SignalBuffer, _phasor
 from .prn import CODE_LENGTH, SpreadingCode
@@ -100,8 +100,15 @@ def sample_code_replica(code: SpreadingCode, sample_rate_hz: float,
     return np.resize(code.chips[idx % CODE_LENGTH], n_samples)
 
 
-def samples_per_chip(code: SpreadingCode, sample_rate_hz: float) -> int:
-    return int(round(sample_rate_hz / code.chipping_rate_hz))
+@lru_cache
+def _fft_len(n: int) -> int:
+    """The least 11-smooth integer >= n, scipy.fft.next_fast_len's value for complex input."""
+    odd = [1]
+    for p in (3, 5, 7, 11):  # every odd 11-smooth number below 2 n
+        for q in odd[:]:
+            while (q := q * p) < 2 * n:
+                odd.append(q)
+    return min(q << (-(-n // q) - 1).bit_length() for q in odd)  # q 2^k >= n, k least
 
 
 def acquire(buf: SignalBuffer, code: SpreadingCode,
@@ -111,7 +118,7 @@ def acquire(buf: SignalBuffer, code: SpreadingCode,
     Doppler bins k whole FFT bins (f_s / n) apart share one wiped-off spectrum,
     as fft(x e^{-j2πkm/n}) = roll(fft(x), -k). Each bin's product with the
     replica spectrum is cut to the code's main lobe, its m bins nearest DC
-    (m = next_fast_len(4 R_c n / f_s), at most n), and a group's bins are
+    (m = _fft_len(4 R_c n / f_s), at most n), and a group's bins are
     inverse-transformed at m points in one batch; the argmax picks the bin,
     whose full-rate row gives the code phase. The SNR gate is the ratio of the
     squared row peak to the mean of the squared row values, excluding lags
@@ -127,7 +134,7 @@ def acquire(buf: SignalBuffer, code: SpreadingCode,
                        / cfg.freq_step_hz)) + 1
     freqs = cfg.freq_search_min_hz + cfg.freq_step_hz * np.arange(n_bins)
     residues = np.round(((freqs - freqs[0]) * n / f_s) % 1.0, 9) % 1.0
-    m = min(n, next_fast_len(math.ceil(4 * code.chipping_rate_hz * n / f_s)))
+    m = min(n, _fft_len(math.ceil(4 * code.chipping_rate_hz * n / f_s)))
     kk = ((np.arange(m) + m // 2) % m - m // 2) % n  # the m bins nearest DC, in FFT order
     lobe = replica_fft[kk]
     surface = np.empty((n_bins, m))
@@ -145,7 +152,7 @@ def acquire(buf: SignalBuffer, code: SpreadingCode,
         spectrum, shift = wiped[bin_idx]
         row = np.abs(np.fft.ifft(np.roll(spectrum, -shift) * replica_fft)) ** 2
     tau = int(np.argmax(row))
-    n_s = samples_per_chip(code, f_s)
+    n_s = round(f_s / code.chipping_rate_hz)  # samples per chip
     keep = np.ones(n, dtype=bool)
     keep[(tau + np.arange(1 - n_s, n_s)) % n] = False
     noise = row[keep]
@@ -167,7 +174,7 @@ def fine_frequency(buf: SignalBuffer, code: SpreadingCode, tau_samples: int,
                    cfg: AcquisitionConfig = AcquisitionConfig()) -> float:
     """Refine the Doppler shift from the spectrum of the code-wiped carrier.
 
-    Only the bins of the zero-padded next_fast_len(4 n)-point DFT within
+    Only the bins of the zero-padded _fft_len(4 n)-point DFT within
     ±freq_step_hz of the coarse frequency are evaluated, as a two-stage DFT
     over t = P b + r (P ≈ √n): a matrix product over r, then a sum over b
     (the last, partial block as one vector-matrix product).
@@ -179,7 +186,7 @@ def fine_frequency(buf: SignalBuffer, code: SpreadingCode, tau_samples: int,
     if not 0 <= tau_samples < len(buf):
         raise ValueError("tau_samples out of range")
     wiped = buf.samples[:n] * sample_code_replica(code, f_s, n, tau_samples)
-    nfft = next_fast_len(4 * n)
+    nfft = _fft_len(4 * n)
     spacing = 1.0 / (nfft * (1.0 / f_s))  # as np.fft.fftfreq computes it
     center = buf.if_offset_hz + coarse_hz
     k = np.arange(max(math.floor((center - cfg.freq_step_hz) / spacing) - 1, -(nfft // 2)),

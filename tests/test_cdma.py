@@ -180,6 +180,23 @@ class TestCodeNco:
         rho = abs(np.vdot(b, a)) / np.sqrt(np.vdot(a, a).real * np.vdot(b, b).real)
         assert rho >= 0.999
 
+    @pytest.mark.parametrize("f_s_hz", [38.192e6, 4.092e6, 2.046e6, 16.368e6, 30.72e6])
+    @pytest.mark.parametrize("r_c_hz", [1.023e6, 10.23e6])
+    def test_fir_matches_scipy_kaiserord_and_firwin(self, f_s_hz, r_c_hz):
+        # the pulse table's filter against scipy's design of it: the same length, and taps
+        # equal but for rounding (numpy's and scipy's Bessel I0 differ in the last bit)
+        source_hz = cdma.PULSE_OVERSAMPLING * r_c_hz
+        up = (1 << cdma.PHASE_BITS) / cdma.PULSE_OVERSAMPLING
+        h = cdma.design_antialias_fir(source_hz, f_s_hz, up)
+        min_rate, up_nyquist = min(source_hz, f_s_hz), up * source_hz / 2.0
+        numtaps, beta = signal.kaiserord(cdma._FILTER_ATTEN_DB,
+                                         cdma._FILTER_WIDTH_FRAC * min_rate / up_nyquist)
+        ref = signal.firwin(numtaps + 1 - numtaps % 2,
+                            cdma._FILTER_CUTOFF_FRAC * min_rate / up_nyquist,
+                            window=("kaiser", beta))
+        assert len(h) == len(ref)
+        assert np.max(np.abs(h - ref)) <= 1e-15 * np.max(np.abs(ref))
+
     def test_time_varying_delay_is_applied(self):
         rate = 1e-5  # s/s: 200 ns, about 7.6 samples, over the 20 ms
         spec = ChannelSpec(sources=(los_source("s1", 1e-5, 0.0, delay_rate=rate),),

@@ -3,7 +3,10 @@ acquisition, tracking, and the exit-code contract."""
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -478,6 +481,8 @@ class TestStrictSchema:
         ("prs", (), "seed", -3, "error: seed must be non-negative"),
         ("prs", (), "noise_seed", -3, "noise_seed must be non-negative"),
         ("spec", (), "seed", -3, "error: seed must be non-negative"),
+        # a finite float64 level, but past float32's range: no recording of infinities
+        ("cdma", (), "noise_power_dbw", 1000.0, "exceeds float32's limit 3.40282e+38"),
     ])
     def test_bad_number_is_a_runtime_error_naming_the_field(self, workdir, tmp_path, capsys,
                                                             which, route, key, value, message):
@@ -487,6 +492,32 @@ class TestStrictSchema:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert not list(tmp_path.glob("out.*"))
+
+    @pytest.mark.parametrize("value", [4000, -4000, NAN])
+    def test_rician_k_db_past_a_float_is_usage_error(self, workdir, tmp_path, capsys, value):
+        # past 3000 dB the linear K nears a float's range (10**400 overflows), and a NaN K
+        # is no Ricean factor
+        cfg, path = copy_at(CHANNEL_SPEC, ("sources", 0, "paths", 0))
+        path["rician_k_db"] = value
+        assert run_with(tmp_path, workdir, "spec", cfg) == 2
+        assert ("channel spec source[0] path[0]: field 'rician_k_db' must lie in "
+                "[-3000, 3000] dB, or be Infinity or -Infinity") in capsys.readouterr().err
+        assert not list(tmp_path.glob("out.*"))
+
+    def test_infinite_rician_k_db_keeps_its_meaning(self, tmp_path):
+        # Infinity: an unfaded LOS path, as with no K; -Infinity: K = 0, a Rayleigh path
+        inf = self.INF
+        def coefficients(los, **k_db):
+            cfg, path = copy_at(CHANNEL_SPEC, ("sources", 0, "paths", 0))
+            path.update(k_db, fading_doppler_hz=100.0)
+            cfg["sources"][0]["los"] = los
+            (tmp_path / "spec.json").write_text(json.dumps(cfg))
+            assert main(["gen-channel", "--spec", str(tmp_path / "spec.json"),
+                         "--out", str(tmp_path / "ch.bin")]) == 0
+            return channel.load_channel(tmp_path / "ch.bin").source("sat1").paths[0].coefficients
+        np.testing.assert_array_equal(coefficients(True, rician_k_db=inf), coefficients(True))
+        np.testing.assert_array_equal(coefficients(True, rician_k_db=-inf), coefficients(False))
+        assert np.ptp(np.abs(coefficients(False))) > 0.1
 
     def test_negative_seed_flag_is_usage_error(self, workdir, tmp_path, capsys):
         out = tmp_path / "x.chn"
@@ -537,6 +568,33 @@ def test_readme_config_examples_run(tmp_path):
         assert main(["synthesize", kind, "--config", str(tmp_path / f"{kind}.json"),
                      "--channel", str(tmp_path / "ch.chn"),
                      "--out", str(tmp_path / f"{kind}.iq")]) == 0
+
+
+def test_every_command_runs_without_scipy(workdir, tmp_path):
+    """numpy is the only runtime dependency: each command exits 0 where scipy cannot be
+    imported, at module level or inside a function."""
+    w, t = workdir, tmp_path
+    commands = [
+        ["gen-channel", "--spec", f"{w}/channel_spec.json", "--out", f"{t}/ch.bin"],
+        ["synthesize", "cdma", "--config", f"{w}/cdma_config.json", "--channel", f"{t}/ch.bin",
+         "--out", f"{t}/cdma.iq"],
+        ["synthesize", "prs", "--config", f"{w}/prs_config.json", "--channel", f"{t}/ch.bin",
+         "--out", f"{t}/prs.iq", "--format", "i16"],
+        ["acquire", "--iq", f"{t}/cdma.iq", "--prn", "5,9", "--out", f"{t}/acq.csv"],
+        ["track", "--iq", f"{t}/cdma.iq", "--prn", "5,9", "--out", f"{t}/trk.csv"],
+        ["spectrum", "--channel", f"{t}/ch.bin", "--source", "sat1", "--nfft", "512",
+         "--out", f"{t}/dop.csv"],
+    ]
+    script = ("import json, sys\n"
+              "sys.modules['scipy'] = None  # importing scipy or a submodule now fails\n"
+              "from synthrf.cli import main\n"
+              "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cdma.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", script, json.dumps(commands)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == [0] * len(commands), run.stderr
+    assert {row["prn_id"] for row in read_rows(t / "trk.csv")} == {"5", "9"}
 
 
 class TestUsage:

@@ -64,6 +64,18 @@ def test_unknown_format_rejected(tmp_path, buf):
         iqio.write_iq(tmp_path / "rec.iq", buf, fmt="f64")
 
 
+def test_f32_overflow_rejected_before_writing(tmp_path):
+    # 4e38 rounds to inf in float32; i16 scales it to its full scale instead
+    x = np.array([1.0, 4e38j])
+    with pytest.raises(ValueError, match=r"peak 4e\+38 exceeds float32's limit 3.40282e\+38"):
+        iqio.write_iq(tmp_path / "rec.iq", SignalBuffer(x, 1e6))
+    assert not list(tmp_path.iterdir())
+    iqio.write_iq(tmp_path / "rec.iq", SignalBuffer(x, 1e6), fmt="i16")
+    back, meta = iqio.read_iq(tmp_path / "rec.iq")
+    assert meta["full_scale"] == 2.0 ** 129
+    assert abs(back.samples[1] - x[1]) <= 0.5 * 2.0 ** 129 / 32767
+
+
 def test_i16_prs_round_trip_does_not_clip(tmp_path):
     carrier = CarrierConfig(n_cell_id=1)
     spec = ChannelSpec(sources=(los_source("g1", 3e-6, 200.0, kind="gnb"),),

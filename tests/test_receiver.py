@@ -17,7 +17,7 @@ from synthrf.dsp import SignalBuffer, add_awgn
 from synthrf.receiver import (LOCK_LOSS_EPOCHS, AcquisitionConfig, AcquisitionResult,
                               TrackingConfig, acquire, dll_discriminator,
                               fine_frequency, pll_discriminator,
-                              sample_code_replica, samples_per_chip, track)
+                              sample_code_replica, track)
 
 from conftest import (cn0_to_noise_dbw, los_source, make_los_channel, nlos_source,
                       wrapped_error)
@@ -106,8 +106,13 @@ class TestReplica:
         np.testing.assert_array_equal(shifted[250:], base[:-250])
 
     def test_samples_per_chip(self):
-        code = prn.generate_ca_code(1)
-        assert samples_per_chip(code, F_S) == 37
+        # acquire's noise lags leave out the peak and round(f_s / R_c) - 1 lags on each side:
+        # one chip is 37 samples at 1.023 Mcps and 4 at 10.23 Mcps, both at 38.192 MHz
+        noise = add_awgn(SignalBuffer(np.zeros(round(F_S * 1e-3), dtype=complex) + 1e-30,
+                                      F_S), 0.0, seed=9)
+        for r_c_hz, n_s in [(1.023e6, 37), (10.23e6, 4)]:
+            res = acquire(noise, prn.generate_ca_code(1, chipping_rate_hz=r_c_hz))
+            assert res.noise_lag_count == len(noise) - (2 * n_s - 1)
 
 
 class TestAcquire:
@@ -152,7 +157,7 @@ class TestAcquire:
     def test_noise_lag_count_excludes_one_chip_window(self, clean_scene):
         res = acquire(clean_scene, prn.generate_ca_code(7))
         n = round(F_S * 1e-3)
-        n_s = samples_per_chip(prn.generate_ca_code(7), F_S)
+        n_s = round(F_S / prn.generate_ca_code(7).chipping_rate_hz)
         assert res.noise_lag_count == n - (2 * n_s - 1)
 
     def test_short_buffer_rejected(self):
@@ -223,6 +228,13 @@ def main_lobe_points(code, f_s, n):
     return min(n, next_fast_len(math.ceil(4 * code.chipping_rate_hz * n / f_s)))
 
 
+def test_fft_len_is_scipys_next_fast_len():
+    # the least 11-smooth integer >= n: scipy.fft.next_fast_len's value for complex input
+    rng = np.random.default_rng(26)
+    for n in [*range(1, 20000), *rng.integers(20000, 2_000_000, 3000).tolist()]:
+        assert receiver._fft_len(n) == next_fast_len(n), n
+
+
 def per_bin_surface(buf, code, cfg, m=None):
     """Reference search: one wipe-off and one forward FFT per Doppler bin.
 
@@ -252,7 +264,7 @@ def full_search(buf, code, cfg=AcquisitionConfig()):
     b, tau = np.unravel_index(np.argmax(surface), surface.shape)
     n = surface.shape[1]
     dist = np.minimum((np.arange(n) - tau) % n, (tau - np.arange(n)) % n)
-    noise = surface[b][dist >= samples_per_chip(code, buf.sample_rate_hz)]
+    noise = surface[b][dist >= round(buf.sample_rate_hz / code.chipping_rate_hz)]
     snr_db = 10.0 * np.log10(surface[b, tau] ** 2 / np.mean(noise ** 2))
     return (bool(snr_db >= cfg.snr_threshold_db), int(tau),
             cfg.freq_search_min_hz + b * cfg.freq_step_hz, snr_db)
