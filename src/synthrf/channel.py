@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import SignalBuffer, _check_draws, _phasor
+from .dsp import BLOCK_SAMPLES, SignalBuffer, _check_draws, _phasor
 
 CHANNEL_FILE_MAGIC = "SYNTHRF-CHAN v1"
 SOURCE_KINDS = ("satellite", "haps", "gnb")
@@ -139,29 +139,24 @@ class ChannelSpec:
         object.__setattr__(self, "sources", tuple(self.sources))
 
 
-def _sum_of_sinusoids(n: int, doppler_norm: float, n_osc: int,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Unit-power Rayleigh fading series (Zheng-Xiao sum-of-sinusoids)."""
-    m = np.arange(1, n_osc + 1)
-    theta = rng.uniform(-np.pi, np.pi)
-    phi_i = rng.uniform(-np.pi, np.pi, n_osc)
-    phi_q = rng.uniform(-np.pi, np.pi, n_osc)
-    alpha = (2.0 * np.pi * m - np.pi + theta) / (4.0 * n_osc)
-    t = np.arange(n)[:, None]
-    w = 2.0 * np.pi * doppler_norm
-    g_i = np.cos(w * t * np.cos(alpha) + phi_i).sum(axis=1)
-    g_q = np.cos(w * t * np.sin(alpha) + phi_q).sum(axis=1)
-    return (g_i + 1j * g_q) / math.sqrt(n_osc)
-
-
 def _fading_series(spec: PathSpec, los_path: bool, n: int, f_ch: float,
                    rng: np.random.Generator) -> np.ndarray:
-    diffuse = _sum_of_sinusoids(n, spec.fading_doppler_hz / f_ch,
-                                DEFAULT_OSCILLATORS, rng)
+    """Unit-power Ricean fading on a LOS path 0, else Rayleigh: a Zheng-Xiao sum of sinusoids
+    a block at a time.  Every path draws its θ, φ_I and φ_Q, used or not, to keep the stream."""
+    n_osc = DEFAULT_OSCILLATORS
+    theta, phi_i, phi_q = np.split(rng.uniform(-np.pi, np.pi, 1 + 2 * n_osc), [1, 1 + n_osc])
+    k = spec.rician_k
+    if los_path and math.isinf(k):
+        return np.ones(n, dtype=np.complex128)
+    alpha = (2.0 * np.pi * np.arange(1, n_osc + 1) - np.pi + theta) / (4.0 * n_osc)
+    w = 2.0 * np.pi * (spec.fading_doppler_hz / f_ch)
+    diffuse = np.empty(n, dtype=np.complex128)
+    for a in range(0, n, BLOCK_SAMPLES):
+        t = np.arange(a, min(a + BLOCK_SAMPLES, n))[:, None]
+        g_i = np.cos(w * t * np.cos(alpha) + phi_i).sum(axis=1)
+        g_q = np.cos(w * t * np.sin(alpha) + phi_q).sum(axis=1)
+        diffuse[a:a + BLOCK_SAMPLES] = (g_i + 1j * g_q) / math.sqrt(n_osc)
     if los_path:
-        k = spec.rician_k
-        if math.isinf(k):
-            return np.ones(n, dtype=np.complex128)
         return math.sqrt(k / (k + 1.0)) + math.sqrt(1.0 / (k + 1.0)) * diffuse
     return diffuse
 
@@ -223,11 +218,12 @@ def store_channel(channels: ChannelSet, path) -> None:
                       f"{int(src.los)} {len(src.paths)} "
                       f"{float(channels.update_rate_hz)!r} {src.n_snapshots}\n")
             fh.write(header.encode("ascii"))
-            for p in src.paths:  # one (n_snap, 4) record array: index, Re H, Im H, delay
-                rec = np.stack([np.arange(p.n_snapshots), p.coefficients.real,
-                                p.coefficients.imag, p.delays_s], axis=1, dtype="<f8")
+            for p, a in itertools.product(src.paths, range(0, src.n_snapshots, BLOCK_SAMPLES)):
+                coeff = p.coefficients[a:a + BLOCK_SAMPLES]  # records: index, Re H, Im H, delay
+                rec = np.stack([np.arange(a, a + len(coeff)), coeff.real, coeff.imag,
+                                p.delays_s[a:a + BLOCK_SAMPLES]], axis=1, dtype="<f8")
                 fh.write(rec.tobytes() if binary else "".join(
-                    f"{i},{h!r},{q!r},{d!r}\n" for i, (_, h, q, d) in enumerate(rec.tolist())
+                    f"{i},{h!r},{q!r},{d!r}\n" for i, (_, h, q, d) in enumerate(rec.tolist(), a)
                 ).encode("ascii"))
 
 
@@ -347,7 +343,7 @@ def doppler_spectrum(source: SourceChannel, f_ch: float, nfft: int = 1024) -> Sp
         raise ValueError(f"nfft={nfft} exceeds snapshot count {n}")
     if nfft < 2 or nfft & (nfft - 1):
         raise ValueError(f"nfft={nfft} must be a power of two")
-    composite = np.sum([p.coefficients for p in source.paths], axis=0)[:nfft]
+    composite = np.sum([p.coefficients[:nfft] for p in source.paths], axis=0)
     window = np.hanning(nfft)
     spectrum = np.abs(np.fft.fft(composite * window)) ** 2
     # reorder so the axis runs (-f_ch/2, +f_ch/2], Nyquist bin at the top

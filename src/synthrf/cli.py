@@ -64,10 +64,12 @@ def _build(fn, cfg, where: str, **fixed):
     return fn(**kwargs)
 
 
-def _path_spec(cfg, where: str) -> channel.PathSpec:
+def _path_spec(cfg, where: str, los_path: bool) -> channel.PathSpec:
     def split(rician_k_db: float = None, **fields):
         return rician_k_db, fields
     k_db, fields = _build(split, cfg, where)
+    if k_db is not None and not los_path:
+        raise ConfigError(f"{where}: field 'rician_k_db' applies only to path 0 of a LOS source")
     if k_db is not None and not (abs(k_db) <= 3000.0 or math.isinf(k_db)):  # NaN too
         raise ConfigError(f"{where}: field 'rician_k_db' must lie in [-3000, 3000] dB, "
                           f"or be Infinity or -Infinity, got {k_db}")
@@ -77,8 +79,8 @@ def _path_spec(cfg, where: str) -> channel.PathSpec:
 
 def _source_spec(cfg, where: str) -> channel.SourceSpec:
     return _build(lambda id, kind, los, paths: channel.SourceSpec(
-        str(id), kind, bool(los),
-        tuple(_path_spec(p, f"{where} path[{j}]") for j, p in enumerate(paths))), cfg, where)
+        str(id), kind, bool(los), tuple(_path_spec(p, f"{where} path[{j}]", bool(los) and j == 0)
+                                        for j, p in enumerate(paths))), cfg, where)
 
 
 def cmd_gen_channel(args) -> int:

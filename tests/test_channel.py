@@ -7,6 +7,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -146,6 +147,135 @@ class TestGenerator:
         assert not np.array_equal(ha, c.source("s1").paths[0].coefficients)
 
 
+
+# --- the block-summed generator against the whole-series one it replaced -----
+
+def reference_sum_of_sinusoids(n, doppler_norm, n_osc, rng):
+    """Unit-power Rayleigh fading series (Zheng-Xiao sum-of-sinusoids), whole series."""
+    m = np.arange(1, n_osc + 1)
+    theta = rng.uniform(-np.pi, np.pi)
+    phi_i = rng.uniform(-np.pi, np.pi, n_osc)
+    phi_q = rng.uniform(-np.pi, np.pi, n_osc)
+    alpha = (2.0 * np.pi * m - np.pi + theta) / (4.0 * n_osc)
+    t = np.arange(n)[:, None]
+    w = 2.0 * np.pi * doppler_norm
+    g_i = np.cos(w * t * np.cos(alpha) + phi_i).sum(axis=1)
+    g_q = np.cos(w * t * np.sin(alpha) + phi_q).sum(axis=1)
+    return (g_i + 1j * g_q) / math.sqrt(n_osc)
+
+
+def reference_fading(spec, los_path, n, f_ch, rng):
+    """The diffuse series of every path, built and then dropped on an unfaded LOS path."""
+    diffuse = reference_sum_of_sinusoids(n, spec.fading_doppler_hz / f_ch,
+                                         channel.DEFAULT_OSCILLATORS, rng)
+    if los_path:
+        k = spec.rician_k
+        if math.isinf(k):
+            return np.ones(n, dtype=np.complex128)
+        return math.sqrt(k / (k + 1.0)) + math.sqrt(1.0 / (k + 1.0)) * diffuse
+    return diffuse
+
+
+def reference_coefficients(spec):
+    """Every path's H series, source by source, from reference_fading."""
+    rng = np.random.default_rng(spec.seed)
+    n = round(spec.update_rate_hz * spec.duration_s)
+    t = np.arange(n)
+    out = []
+    for src in spec.sources:
+        for k, p in enumerate(src.paths):
+            fading = reference_fading(p, src.los and k == 0, n, spec.update_rate_hz, rng)
+            rot = np.exp(2j * np.pi * p.doppler_hz * t / spec.update_rate_hz)
+            out.append(math.sqrt(10.0 ** (p.mean_power_db / 10.0)) * fading * rot)
+    return out
+
+
+BLOCK = dsp.BLOCK_SAMPLES
+
+
+@st.composite
+def fading_specs(draw):
+    """1-3 sources of 1-2 paths, LOS or NLOS, with K = inf, finite or 0 and the fading
+    frozen or not, over snapshot counts on both sides of one and two blocks."""
+    n = draw(st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5]))
+    f_ch = draw(st.sampled_from([2000.0, 40e3, 2.0 ** 14]))
+    k = st.one_of(st.sampled_from([math.inf, 0.0]), st.floats(1e-3, 1e3))
+    sources = []
+    for s in range(draw(st.integers(1, 3))):
+        paths = tuple(PathSpec(initial_delay_s=1e-5 + 1e-6 * j,
+                               mean_power_db=draw(st.floats(-40.0, 10.0)),
+                               doppler_hz=draw(st.floats(-5e3, 5e3)), rician_k=draw(k),
+                               fading_doppler_hz=draw(st.one_of(st.just(0.0),
+                                                                st.floats(1.0, 5e3))))
+                      for j in range(draw(st.integers(1, 2))))
+        sources.append(SourceSpec(f"s{s}", "satellite", draw(st.booleans()), paths))
+    return ChannelSpec(tuple(sources), update_rate_hz=f_ch, duration_s=n / f_ch,
+                       seed=draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def long_scene(duration_s):
+    """4 satellites at f_ch 40 kHz, each a LOS path and a -10 dB echo faded at 50 Hz."""
+    return ChannelSpec(tuple(SourceSpec(f"s{i}", "satellite", True, (
+        PathSpec(1e-5 + 1e-6 * i, doppler_hz=1000.0 * i - 1500.0),
+        PathSpec(1.5e-5 + 1e-6 * i, doppler_hz=1000.0 * i - 1500.0, mean_power_db=-10.0,
+                 fading_doppler_hz=50.0))) for i in range(4)),
+        update_rate_hz=40e3, duration_s=duration_s, seed=4)
+
+
+def traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestGeneratorBlocks:
+    @settings(max_examples=15, deadline=None)
+    @given(spec=fading_specs())
+    # every kind of path, in one stream, across a block edge
+    @example(spec=ChannelSpec((
+        SourceSpec("a", "satellite", True, (PathSpec(1e-5, rician_k=3.0, fading_doppler_hz=80.0),
+                                            PathSpec(2e-5, fading_doppler_hz=50.0))),
+        SourceSpec("h", "haps", True, (PathSpec(1e-5, rician_k=1e-3, fading_doppler_hz=20.0),)),
+        SourceSpec("g", "gnb", False, (PathSpec(1e-5, fading_doppler_hz=100.0),)),
+        SourceSpec("u", "satellite", True, (PathSpec(1e-5, doppler_hz=1234.5),)),
+        SourceSpec("z", "satellite", True, (PathSpec(1e-5, rician_k=0.0),))),
+        update_rate_hz=40e3, duration_s=(BLOCK + 1) / 40e3, seed=5))
+    def test_generator_changes_no_output_bit(self, spec):
+        got = [p.coefficients for src in generate_synthetic_channel(spec).sources
+               for p in src.paths]
+        want = reference_coefficients(spec)
+        assert [bits(h) for h in got] == [bits(h) for h in want]
+
+    def test_an_unfaded_los_path_sums_no_oscillator(self):
+        spec = long_scene(0.1)
+        spec = dataclasses.replace(spec, sources=[dataclasses.replace(
+            src, paths=src.paths[:1]) for src in spec.sources])
+        with mock.patch.object(np, "cos", wraps=np.cos) as cos:
+            generate_synthetic_channel(spec)
+        assert cos.call_count == 0
+
+    def test_generator_peak_allocation_per_snapshot(self):
+        # the output series, 24 B per snapshot, grow with the scene; the oscillator sums
+        # are a block of snapshots, whatever the length
+        short, long = long_scene(0.5), long_scene(1.0)  # 20,000 and 40,000 snapshots
+        growth = traced_peak(generate_synthetic_channel, long) - \
+            traced_peak(generate_synthetic_channel, short)
+        assert growth / 20000 / 8 <= 64.0
+
+    def test_text_writer_peak_allocation_per_snapshot(self, tmp_path):
+        # text rows are formatted a block at a time, never a whole path's
+        rng = np.random.default_rng(3)
+        short, long = (ChannelSet([SourceChannel("s0", "satellite", True, [PathSeries(
+            rng.standard_normal(n) + 1j * rng.standard_normal(n), np.full(n, 1e-5))])], 40e3)
+            for n in (18000, 36000))
+        growth = traced_peak(store_channel, long, tmp_path / "long.chn") - \
+            traced_peak(store_channel, short, tmp_path / "short.chn")
+        assert growth / 18000 <= 48.0
+
+
 class TestFileRoundTrip:
     def _set(self):
         spec = ChannelSpec(
@@ -180,6 +310,23 @@ class TestFileRoundTrip:
         np.testing.assert_array_equal(
             back.source("sat2").paths[0].coefficients,
             cs.source("sat2").paths[0].coefficients)
+
+    @pytest.mark.parametrize("ext", [".chn", ".bin"])
+    def test_round_trip_is_bit_exact_across_a_block_edge(self, tmp_path, ext):
+        # records are written a block at a time; the edge values sit on both sides of one
+        n = BLOCK + 3
+        rng = np.random.default_rng(7)
+        coeff = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        coeff.real[BLOCK - 2:BLOCK + 2] = [-0.0, 5e-324, -5e-324, 1e308]
+        delays = np.abs(rng.standard_normal(n))
+        delays[0] = 0.0
+        cs = ChannelSet([SourceChannel("s0", "gnb", True, [PathSeries(coeff, delays),
+                                                           PathSeries(-coeff, delays + 1.0)])],
+                        40e3)
+        store_channel(cs, tmp_path / ("channels" + ext))
+        back = load_channel(tmp_path / ("channels" + ext))
+        assert [(bits(p.coefficients), bits(p.delays_s)) for p in back.sources[0].paths] == \
+            [(bits(p.coefficients), bits(p.delays_s)) for p in cs.sources[0].paths]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "broken.chn"

@@ -519,6 +519,36 @@ class TestStrictSchema:
         np.testing.assert_array_equal(coefficients(True, rician_k_db=-inf), coefficients(False))
         assert np.ptp(np.abs(coefficients(False))) > 0.1
 
+    # a LOS source with an echo (path 1), then the NLOS source of LOS_NLOS_SPEC
+    ECHO_SPEC = dict(LOS_NLOS_SPEC, sources=[
+        dict(CHANNEL_SPEC["sources"][0], paths=[
+            CHANNEL_SPEC["sources"][0]["paths"][0],
+            {"initial_delay_s": 1.2e-5, "mean_power_db": -10.0, "fading_doppler_hz": 50.0}]),
+        LOS_NLOS_SPEC["sources"][1]])
+
+    @pytest.mark.parametrize("route,value", [
+        (("sources", 1, "paths", 0), 10), (("sources", 1, "paths", 0), -INF),
+        (("sources", 0, "paths", 1), 3), (("sources", 0, "paths", 1), INF)])
+    def test_rician_k_db_off_a_los_path_0_is_usage_error(self, workdir, tmp_path, capsys,
+                                                         route, value):
+        # only path 0 of a LOS source has a LOS component for K to weigh
+        cfg, path = copy_at(self.ECHO_SPEC, route)
+        path["rician_k_db"] = value
+        assert run_with(tmp_path, workdir, "spec", cfg) == 2
+        assert (f"channel spec source[{route[1]}] path[{route[3]}]: field 'rician_k_db' applies "
+                "only to path 0 of a LOS source") in capsys.readouterr().err
+        assert not list(tmp_path.glob("out.*"))
+
+    def test_null_rician_k_db_is_accepted_on_every_path(self, workdir, tmp_path):
+        cfg = copy_at(self.ECHO_SPEC, ())[0]
+        assert run_with(tmp_path, workdir, "spec", cfg) == 0
+        without = (tmp_path / "out.chn").read_bytes()
+        for src in cfg["sources"]:
+            for path in src["paths"]:
+                path["rician_k_db"] = None
+        assert run_with(tmp_path, workdir, "spec", cfg) == 0
+        assert (tmp_path / "out.chn").read_bytes() == without
+
     def test_negative_seed_flag_is_usage_error(self, workdir, tmp_path, capsys):
         out = tmp_path / "x.chn"
         assert main(["gen-channel", "--spec", str(workdir / "channel_spec.json"),
