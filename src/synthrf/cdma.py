@@ -26,7 +26,7 @@ from . import prn
 from .channel import ChannelSet, _interp, _time_axes, earliest_delay_s
 from .dsp import BLOCK_SAMPLES, SignalBuffer, _add_noise, _check_draws, _phasor
 
-HAPS_DEFAULTS = dict(f_s_hz=38.192e6, f_if_hz=15e6, r_c_hz=10.23e6)
+HAPS_DEFAULTS = dict(f_if_hz=15e6, r_c_hz=10.23e6)
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,9 @@ class CdmaGenConfig:
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
         _check_draws(self.noise_power_dbw, data_seed=self.data_seed, noise_seed=self.noise_seed)
+        for i, (prn_id, sid) in enumerate(self.sources):
+            if first := [s for p, s in self.sources[:i] if p == prn_id]:
+                raise ValueError(f"PRN {prn_id} is listed for source {first[0]} and source {sid}")
         # the complex working rate must hold the carrier and give the code at
         # least two samples per chip; outer code sidelobes are allowed to wrap
         # (the stock HAPS parameter set is deliberately marginal this way)

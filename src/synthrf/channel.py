@@ -88,6 +88,9 @@ class ChannelSet:
             raise ValueError("update_rate_hz must be positive and finite")
         if len({src.n_snapshots for src in self.sources}) > 1:
             raise ValueError("all sources must share one snapshot count")
+        ids = [src.source_id for src in self.sources]
+        if dup := [sid for i, sid in enumerate(ids) if sid in ids[:i]]:
+            raise ValueError(f"source {dup[0]}: id listed more than once")
 
     def source(self, source_id: str) -> SourceChannel:
         for src in self.sources:
@@ -403,4 +406,4 @@ def propagate_and_sum(clean: dict[str, SignalBuffer], channels: ChannelSet,
             delayed[:whole] = 0.0  # either way the delay is circular: blank the wrapped head
             coeff = _interp(t, _time_axes(path, channels.update_rate_hz, f_s, n), path.coefficients)
             total += delayed * coeff
-    return SignalBuffer(total, f_s, bufs[0].if_offset_hz, bufs[0].epoch_s)
+    return SignalBuffer(total, f_s, bufs[0].if_offset_hz)

@@ -132,7 +132,7 @@ def cmd_synthesize(args) -> int:
         truth = _ground_truth(channels, [sid for _, sid in gen.sources])
         for entry, (prn_id, _) in zip(truth, gen.sources):
             entry["prn_id"] = prn_id
-        meta = {"kind": "cdma", "f_if_hz": gen.f_if_hz, "r_c_hz": gen.r_c_hz,
+        meta = {"kind": "cdma", "r_c_hz": gen.r_c_hz,
                 "t_d_s": gen.t_d_s, "data_seed": gen.data_seed,
                 "noise_seed": gen.noise_seed, "ground_truth": truth}
     else:  # argparse's choices leave only "prs"
@@ -143,14 +143,15 @@ def cmd_synthesize(args) -> int:
         for i, src in enumerate(sources):
             where = f"prs config source[{i}]"
             sid, res = _build(lambda source_id, **res: (str(source_id), res), src, where)
+            if sid in resources:
+                raise ConfigError(f"{where}: source_id {sid!r} is already listed")
             resources[sid] = _build(prs.PrsResourceConfig, {"n_rb_prs": carrier.n_rb, **res}, where)
         buf = _build(prs.synthesize_gnb, fields, "prs config",
                      carrier=carrier, prs_configs=resources, channels=channels)
         truth = _ground_truth(channels, list(resources))
         meta = {"kind": "prs", "seed": int(fields["seed"]),
                 "numerology": {"scs_hz": carrier.scs_hz, "n_fft": carrier.n_fft,
-                               "n_rb": carrier.n_rb,
-                               "sample_rate_hz": carrier.sample_rate_hz},
+                               "n_rb": carrier.n_rb},
                 "ground_truth": truth}
     iqio.write_iq(args.out, buf, metadata=meta, fmt=args.format)
     print(f"wrote {len(buf)} samples at {buf.sample_rate_hz:.6g} Hz to {args.out}")
@@ -194,10 +195,12 @@ def _acquisitions(args):
     except ValueError as exc:
         raise ConfigError(f"--snr-threshold {args.snr_threshold}: {exc}") from exc
     buf, meta = iqio.read_iq(args.iq)
+    if "r_c_hz" not in meta:  # the chip rate is the recording's to state, not assumed here
+        raise ConfigError(f"{iqio.sidecar_path(args.iq)}: missing field 'r_c_hz', the chip "
+                          f"rate, in a recording of kind {meta.get('kind')!r}")
     truth = {int(t["prn_id"]): t for t in meta.get("ground_truth", []) if "prn_id" in t}
-    r_c = float(meta.get("r_c_hz", prn.DEFAULT_CHIPPING_RATE_HZ))
     for prn_id in prns:
-        code = prn.generate_ca_code(prn_id, chipping_rate_hz=r_c)
+        code = prn.generate_ca_code(prn_id, chipping_rate_hz=float(meta["r_c_hz"]))
         yield buf, truth.get(prn_id), code, receiver.acquire(buf, code, acq_cfg)
 
 

@@ -16,7 +16,6 @@ class SignalBuffer:
     samples: np.ndarray
     sample_rate_hz: float
     if_offset_hz: float = 0.0
-    epoch_s: float = 0.0
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.complex128)
@@ -28,10 +27,6 @@ class SignalBuffer:
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate_hz
 
 
 def _phasor(cycles: float, n: int, phase_rad: float = 0.0, start: int = 0) -> np.ndarray:

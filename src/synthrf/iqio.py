@@ -26,30 +26,26 @@ def write_iq(path, buf: SignalBuffer, metadata: dict | None = None,
     """Write samples and the sidecar; returns the sidecar path."""
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}")
-    path = Path(path)
+    meta = {"format": fmt, "sample_rate_hz": buf.sample_rate_hz,
+            "if_offset_hz": buf.if_offset_hz, "n_samples": len(buf)}
+    if clash := sorted((metadata or {}).keys() & {*meta, "full_scale"}):
+        raise ValueError(f"metadata key '{clash[0]}' is written by write_iq itself")
     interleaved = np.ascontiguousarray(buf.samples).view(np.float64)  # I, Q, I, Q, ...
     peak = max(float(np.max(interleaved)), -float(np.min(interleaved)))
     if fmt == "f32" and peak > (limit := float(np.finfo(np.float32).max)):
         raise ValueError(f"peak {peak:.6g} exceeds float32's limit {limit:.6g}")
     if fmt == "i16" and i16_full_scale is None:
         i16_full_scale = float(2.0 ** np.ceil(np.log2(peak))) if peak > 0 else 1.0
+    if i16_full_scale is not None and not 0 < i16_full_scale < np.inf:  # NaN too
+        raise ValueError(f"i16_full_scale must be positive and finite, got {i16_full_scale!r}")
     with open(path, "wb") as fh:
         for a in range(0, len(interleaved), 2 * BLOCK_SAMPLES):
             block = interleaved[a:a + 2 * BLOCK_SAMPLES]
             fh.write(block.astype("<f4") if fmt == "f32" else
                      np.round(np.clip(block / i16_full_scale, -1.0, 1.0) * 32767.0).astype("<i2"))
-    meta = {
-        "format": fmt,
-        "sample_rate_hz": buf.sample_rate_hz,
-        "if_offset_hz": buf.if_offset_hz,
-        "epoch_s": buf.epoch_s,
-        "n_samples": len(buf),
-        "duration_s": buf.duration_s,
-    }
     if fmt == "i16":
         meta["full_scale"] = i16_full_scale
-    if metadata:
-        meta.update(metadata)
+    meta.update(metadata or {})
     side = sidecar_path(path)
     side.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return side
@@ -72,9 +68,11 @@ def read_iq(path) -> tuple[SignalBuffer, dict]:
         raise ValueError(f"{side}: field 'format' must be one of {FORMATS}, got {fmt!r}")
     if type(n := meta["n_samples"]) is not int or n < 1:
         raise ValueError(f"{side}: field 'n_samples' must be a positive integer, got {n!r}")
-    for key in sorted(meta.keys() & {"sample_rate_hz", "if_offset_hz", "full_scale", "epoch_s"}):
+    for key in sorted(meta.keys() & {"sample_rate_hz", "if_offset_hz", "full_scale"}):
         if type(v := meta[key]) not in (int, float) or not abs(v) <= float(np.finfo(float).max):
             raise ValueError(f"{side}: field '{key}' must be a finite number, got {v!r}")
+    if not meta.get("full_scale", 1.0) > 0:
+        raise ValueError(f"{side}: field 'full_scale' must be positive, got {meta['full_scale']!r}")
     dtype = {"f32": "<f4", "i16": "<i2"}[fmt]
     size = 2 * n * np.dtype(dtype).itemsize
     if (got := path.stat().st_size) != size:
@@ -87,7 +85,5 @@ def read_iq(path) -> tuple[SignalBuffer, dict]:
             if fmt == "i16":
                 part /= 32767.0
                 part *= float(meta["full_scale"])
-    buf = SignalBuffer(interleaved.view(np.complex128), float(meta["sample_rate_hz"]),
-                       if_offset_hz=float(meta["if_offset_hz"]),
-                       epoch_s=float(meta.get("epoch_s", 0.0)))
-    return buf, meta
+    return SignalBuffer(interleaved.view(np.complex128), float(meta["sample_rate_hz"]),
+                        if_offset_hz=float(meta["if_offset_hz"])), meta

@@ -39,7 +39,7 @@ class AcquisitionConfig:
             raise ValueError("coherent_ms must not exceed fine_freq_ms")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AcquisitionResult:
     """correlation_surface (keep_surface): power per (Doppler bin, lag of n/m samples)."""
 
@@ -158,15 +158,15 @@ def acquire(buf: SignalBuffer, code: SpreadingCode,
     noise = row[keep]
     snr_db = 10.0 * np.log10(row[tau] ** 2 / np.mean(noise ** 2))
     acquired = bool(snr_db >= cfg.snr_threshold_db)
-    result = AcquisitionResult(
+    coarse_hz = float(freqs[bin_idx])
+    fine_hz = math.nan
+    if acquired and len(buf) >= round(f_s * cfg.fine_freq_ms * 1e-3):
+        fine_hz = fine_frequency(buf, code, tau, coarse_hz, cfg)
+    return AcquisitionResult(
         prn_id=code.prn_id, acquired=acquired, code_phase_samples=tau,
-        coarse_freq_hz=float(freqs[bin_idx]), fine_freq_hz=math.nan,
+        coarse_freq_hz=coarse_hz, fine_freq_hz=fine_hz,
         snr_db=float(snr_db), noise_lag_count=int(len(noise)),
         correlation_surface=surface if cfg.keep_surface else None)
-    if acquired and len(buf) >= round(f_s * cfg.fine_freq_ms * 1e-3):
-        result.fine_freq_hz = fine_frequency(buf, code, result.code_phase_samples,
-                                             result.coarse_freq_hz, cfg)
-    return result
 
 
 def fine_frequency(buf: SignalBuffer, code: SpreadingCode, tau_samples: int,

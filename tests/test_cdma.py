@@ -56,6 +56,10 @@ class TestConfig:
             sat_config(t_d_s=0.0015)
         sat_config(t_d_s=0.002)  # two code periods is fine
 
+    def test_a_prn_listed_twice_is_rejected(self):
+        with pytest.raises(ValueError, match="^PRN 5 is listed for source s1 and source s3$"):
+            sat_config(sources=((5, "s1"), (7, "s2"), (5, "s3")))
+
     def test_haps_defaults_are_consistent(self):
         cfg = CdmaGenConfig(duration_s=0.001, sources=((1, "h1"),),
                             **HAPS_DEFAULTS)

@@ -52,6 +52,12 @@ class TestContainers:
         with pytest.raises(ValueError, match="snapshot count"):
             ChannelSet(sources=(source("a", 50), source("b", 60)), update_rate_hz=1000.0)
 
+    def test_source_ids_must_be_unique(self):
+        path = PathSeries(coefficients=np.ones(5, dtype=complex), delays_s=np.full(5, 1e-5))
+        sources = [SourceChannel(sid, "satellite", True, (path,)) for sid in ("a", "b", "a")]
+        with pytest.raises(ValueError, match="^source a: id listed more than once$"):
+            ChannelSet(sources=sources, update_rate_hz=1000.0)
+
     def test_path_zero_must_arrive_first(self):
         early = PathSeries(coefficients=np.ones(10, dtype=complex),
                            delays_s=np.full(10, 1e-6))

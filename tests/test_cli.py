@@ -75,6 +75,16 @@ def cdma_iq(workdir):
     return out
 
 
+@pytest.fixture(scope="module")
+def prs_iq(workdir):
+    """The 10 ms i16 PRS recording of sat1."""
+    out = workdir / "prs16.iq"
+    assert main(["synthesize", "prs", "--config", str(workdir / "prs_config.json"),
+                 "--channel", str(workdir / "channels.chn"),
+                 "--out", str(out), "--format", "i16"]) == 0
+    return out
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -104,6 +114,16 @@ class TestGenChannel:
         assert main(["gen-channel", "--spec", str(tmp_path / "spec.json"),
                      "--out", str(out)]) == 1
         assert f"source id {sid!r} must be non-empty" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_repeated_source_id_is_a_runtime_error(self, tmp_path, capsys):
+        spec = dict(CHANNEL_SPEC, sources=[CHANNEL_SPEC["sources"][0],
+                                           dict(CHANNEL_SPEC["sources"][1], id="sat1")])
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        out = tmp_path / "ch.chn"
+        assert main(["gen-channel", "--spec", str(tmp_path / "spec.json"),
+                     "--out", str(out)]) == 1
+        assert "error: source sat1: id listed more than once" in capsys.readouterr().err
         assert not out.exists()
 
     def test_seed_option_overrides_the_spec_seed(self, tmp_path):
@@ -143,7 +163,54 @@ class TestSynthesize:
                      "--out", str(out)]) == 0
         buf, meta = iqio.read_iq(out)
         assert len(buf) == 153600  # 15.36 MHz x 10 ms
-        assert meta["numerology"]["sample_rate_hz"] == 15.36e6
+        assert meta["sample_rate_hz"] == 15.36e6
+
+    def test_sidecars_state_each_value_once(self, cdma_iq, prs_iq):
+        # no key restates another: no duration_s (n_samples / sample_rate_hz), no f_if_hz
+        # (if_offset_hz), no numerology sample_rate_hz (sample_rate_hz)
+        common = {"format", "sample_rate_hz", "if_offset_hz", "n_samples", "kind",
+                  "ground_truth"}
+        meta = json.loads(iqio.sidecar_path(cdma_iq).read_text())
+        assert set(meta) == common | {"r_c_hz", "t_d_s", "data_seed", "noise_seed"}
+        meta = json.loads(iqio.sidecar_path(prs_iq).read_text())
+        assert set(meta) == common | {"full_scale", "seed", "numerology"}
+        assert set(meta["numerology"]) == {"scs_hz", "n_fft", "n_rb"}
+
+    @pytest.mark.parametrize("ext", [".chn", ".bin"])
+    def test_a_channel_file_repeating_a_source_id_is_a_runtime_error(self, workdir, tmp_path,
+                                                                     capsys, ext):
+        one = tmp_path / f"one{ext}"
+        channel.store_channel(channel.ChannelSet(
+            channel.load_channel(workdir / "channels.chn").sources[:1], 40e3), one)
+        magic, body = one.read_bytes().split(b"\n", 1)
+        (tmp_path / f"two{ext}").write_bytes(magic + b"\n" + body + body)
+        out = tmp_path / "x.iq"
+        assert main(["synthesize", "cdma", "--config", str(workdir / "cdma_config.json"),
+                     "--channel", str(tmp_path / f"two{ext}"), "--out", str(out)]) == 1
+        assert "error: source sat1: id listed more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_prs_source_listed_twice_is_usage_error(self, workdir, tmp_path, capsys):
+        source = PRS_CONFIG["sources"][0]
+        cfg = dict(PRS_CONFIG, sources=[source, dict(source, n_prs_id=20)])
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        out = tmp_path / "x.iq"
+        assert main(["synthesize", "prs", "--config", str(tmp_path / "cfg.json"),
+                     "--channel", str(workdir / "channels.chn"), "--out", str(out)]) == 2
+        assert ("error: prs config source[1]: source_id 'sat1' is already listed"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_a_cdma_prn_listed_twice_is_a_runtime_error(self, workdir, tmp_path, capsys):
+        cfg = dict(CDMA_CONFIG, sources=[{"prn_id": 5, "source_id": "sat1"},
+                                         {"prn_id": 5, "source_id": "sat2"}])
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        out = tmp_path / "x.iq"
+        assert main(["synthesize", "cdma", "--config", str(tmp_path / "cfg.json"),
+                     "--channel", str(workdir / "channels.chn"), "--out", str(out)]) == 1
+        assert ("error: PRN 5 is listed for source sat1 and source sat2"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_unknown_channel_source_fails(self, workdir, tmp_path):
         cfg = dict(CDMA_CONFIG, sources=[{"prn_id": 5, "source_id": "ghost"}])
@@ -273,7 +340,7 @@ class TestAcquireTrack:
         ("f32", {"format": ["f32"]}, "field 'format'"),
         ("i16", {"full_scale": None}, "field 'full_scale'"),
         ("f32", {"n_samples": 10.7}, "field 'n_samples'"),
-        ("f32", {"epoch_s": "0"}, "field 'epoch_s'"),
+        ("i16", {"full_scale": 0}, "field 'full_scale' must be positive"),
     ])
     def test_malformed_sidecar_is_runtime_error(self, tmp_path, capsys, fmt, edit, field):
         path = tmp_path / "rec.iq"
@@ -283,6 +350,17 @@ class TestAcquireTrack:
         assert main(["acquire", "--iq", str(path), "--prn", "5",
                      "--out", str(tmp_path / "x.csv")]) == 1
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["acquire", "track"])
+    def test_a_recording_without_a_chip_rate_is_usage_error(self, prs_iq, tmp_path, capsys,
+                                                             command):
+        # a PRS recording states no r_c_hz; none is assumed in its place
+        out = tmp_path / "x.csv"
+        assert main([command, "--iq", str(prs_iq), "--prn", "5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {iqio.sidecar_path(prs_iq)}: missing field 'r_c_hz'" in err
+        assert "in a recording of kind 'prs'" in err
+        assert not out.exists()
 
     def test_truncated_recording_is_runtime_error(self, tmp_path, capsys):
         path = tmp_path / "rec.iq"

@@ -64,6 +64,34 @@ def test_unknown_format_rejected(tmp_path, buf):
         iqio.write_iq(tmp_path / "rec.iq", buf, fmt="f64")
 
 
+@pytest.mark.parametrize("full_scale", [0.0, -8.0, math.nan, math.inf])
+def test_i16_full_scale_not_positive_and_finite_rejected_before_writing(tmp_path, full_scale):
+    with pytest.raises(ValueError, match="i16_full_scale must be positive and finite"):
+        iqio.write_iq(tmp_path / "rec.iq", SignalBuffer(np.ones(4, dtype=complex), 1e6),
+                      fmt="i16", i16_full_scale=full_scale)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("fmt", ["f32", "i16"])
+@pytest.mark.parametrize("key", ["format", "sample_rate_hz", "if_offset_hz", "n_samples",
+                                 "full_scale"])
+def test_metadata_restating_a_written_key_rejected_before_writing(tmp_path, fmt, key):
+    # a 1 MHz buffer with metadata {"sample_rate_hz": 2e6} would read back at 2 MHz
+    with pytest.raises(ValueError, match=f"metadata key '{key}' is written by write_iq itself"):
+        iqio.write_iq(tmp_path / "rec.iq", SignalBuffer(np.ones(4, dtype=complex), 1e6),
+                      metadata={"kind": "cdma", key: 2e6}, fmt=fmt)
+    assert not list(tmp_path.iterdir())
+
+
+def test_sidecar_holds_only_what_write_iq_states_and_the_metadata(tmp_path):
+    buf = SignalBuffer(np.ones(4, dtype=complex), 1e6, if_offset_hz=2e5)
+    for fmt, extra in (("f32", {}), ("i16", {"full_scale": 1.0})):
+        side = iqio.write_iq(tmp_path / f"{fmt}.iq", buf, metadata={"kind": "x"}, fmt=fmt)
+        assert json.loads(side.read_text()) == {
+            "format": fmt, "sample_rate_hz": 1e6, "if_offset_hz": 2e5, "n_samples": 4,
+            "kind": "x", **extra}
+
+
 def test_f32_overflow_rejected_before_writing(tmp_path):
     # 4e38 rounds to inf in float32; i16 scales it to its full scale instead
     x = np.array([1.0, 4e38j])
@@ -187,7 +215,8 @@ def test_write_and_read_allocate_blocks_beside_the_samples(tmp_path, fmt):
     ("f32", {"sample_rate_hz": float("nan")}, "field 'sample_rate_hz' must be a finite"),
     ("f32", {"if_offset_hz": [0.0]}, "field 'if_offset_hz' must be a finite number"),
     ("f32", {"if_offset_hz": 10 ** 400}, "field 'if_offset_hz' must be a finite number"),
-    ("f32", {"epoch_s": {}}, "field 'epoch_s' must be a finite number"),
+    ("i16", {"full_scale": 0}, "field 'full_scale' must be positive, got 0"),
+    ("i16", {"full_scale": -8.0}, "field 'full_scale' must be positive, got -8.0"),
 ])
 def test_malformed_sidecar_rejected_naming_the_field(tmp_path, fmt, edit, message):
     path = tmp_path / "rec.iq"

@@ -127,6 +127,11 @@ class TestAcquire:
         res = acquire(clean_scene, prn.generate_ca_code(7))
         assert res.fine_freq_hz == pytest.approx(2500.0, abs=25.0)
 
+    def test_result_is_built_once_and_frozen(self, clean_scene):
+        res = acquire(clean_scene, prn.generate_ca_code(7))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.fine_freq_hz = 0.0
+
     def test_absent_prn_rejected(self, clean_scene):
         res = acquire(clean_scene, prn.generate_ca_code(13))
         assert not res.acquired
