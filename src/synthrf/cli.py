@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import inspect
 import json
 import math
@@ -188,7 +189,8 @@ def _parse_prn_list(text: str) -> list[int]:
 
 
 def _acquisitions(args):
-    """Acquire each listed PRN: (recording, its ground truth or None, code, result)."""
+    """Acquire the listed PRNs in one search: (recording, its ground truth or None, code,
+    result) for each."""
     prns = _parse_prn_list(args.prn)  # usage errors before the recording is read
     try:
         acq_cfg = receiver.AcquisitionConfig(snr_threshold_db=args.snr_threshold)
@@ -198,10 +200,13 @@ def _acquisitions(args):
     if "r_c_hz" not in meta:  # the chip rate is the recording's to state, not assumed here
         raise ConfigError(f"{iqio.sidecar_path(args.iq)}: missing field 'r_c_hz', the chip "
                           f"rate, in a recording of kind {meta.get('kind')!r}")
+    if type(r_c := meta["r_c_hz"]) not in (int, float) or not 0 < r_c <= buf.sample_rate_hz / 2:
+        raise ConfigError(f"{iqio.sidecar_path(args.iq)}: field 'r_c_hz' must be a number in "
+                          f"(0, f_s/2 = {buf.sample_rate_hz / 2:.6g} Hz], got {r_c!r}")
     truth = {int(t["prn_id"]): t for t in meta.get("ground_truth", []) if "prn_id" in t}
-    for prn_id in prns:
-        code = prn.generate_ca_code(prn_id, chipping_rate_hz=float(meta["r_c_hz"]))
-        yield buf, truth.get(prn_id), code, receiver.acquire(buf, code, acq_cfg)
+    codes = [prn.generate_ca_code(p, chipping_rate_hz=float(r_c)) for p in prns]
+    for code, res in zip(codes, receiver.acquire_all(buf, codes, acq_cfg)):
+        yield buf, truth.get(code.prn_id), code, res
 
 
 def cmd_acquire(args) -> int:
@@ -234,13 +239,9 @@ def cmd_track(args) -> int:
             print(f"PRN {code.prn_id:02d}: not acquired (snr={res.snr_db:.1f} dB), skipped")
             continue
         trace = receiver.track(buf, code, res)
-        for i in range(len(trace)):
-            row = {"prn_id": code.prn_id, "epoch_s": trace.epoch_s[i],
-                   "code_delay_samples": trace.code_delay_samples[i],
-                   "doppler_hz": trace.doppler_hz[i],
-                   "prompt_i": trace.prompt_i[i], "prompt_q": trace.prompt_q[i],
-                   "dll_discriminator": trace.dll_discriminator[i],
-                   "pll_discriminator": trace.pll_discriminator[i]}
+        columns = [f.name for f in dataclasses.fields(trace) if f.name != "loss_of_lock"]
+        for i in range(len(trace)):  # a row per epoch, a column per trace array
+            row = {"prn_id": code.prn_id, **{c: getattr(trace, c)[i] for c in columns}}
             if t is not None:
                 row["doppler_error_hz"] = trace.doppler_hz[i] - t["doppler_hz"]
             rows.append(row)

@@ -34,6 +34,8 @@ def write_iq(path, buf: SignalBuffer, metadata: dict | None = None,
     peak = max(float(np.max(interleaved)), -float(np.min(interleaved)))
     if fmt == "f32" and peak > (limit := float(np.finfo(np.float32).max)):
         raise ValueError(f"peak {peak:.6g} exceeds float32's limit {limit:.6g}")
+    if fmt == "f32" and i16_full_scale is not None:
+        raise ValueError(f"i16_full_scale applies only to fmt='i16', got {i16_full_scale!r}")
     if fmt == "i16" and i16_full_scale is None:
         i16_full_scale = float(2.0 ** np.ceil(np.log2(peak))) if peak > 0 else 1.0
     if i16_full_scale is not None and not 0 < i16_full_scale < np.inf:  # NaN too
@@ -71,8 +73,8 @@ def read_iq(path) -> tuple[SignalBuffer, dict]:
     for key in sorted(meta.keys() & {"sample_rate_hz", "if_offset_hz", "full_scale"}):
         if type(v := meta[key]) not in (int, float) or not abs(v) <= float(np.finfo(float).max):
             raise ValueError(f"{side}: field '{key}' must be a finite number, got {v!r}")
-    if not meta.get("full_scale", 1.0) > 0:
-        raise ValueError(f"{side}: field 'full_scale' must be positive, got {meta['full_scale']!r}")
+        if key != "if_offset_hz" and not v > 0:
+            raise ValueError(f"{side}: field '{key}' must be positive, got {v!r}")
     dtype = {"f32": "<f4", "i16": "<i2"}[fmt]
     size = 2 * n * np.dtype(dtype).itemsize
     if (got := path.stat().st_size) != size:

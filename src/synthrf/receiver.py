@@ -90,14 +90,19 @@ def sample_code_replica(code: SpreadingCode, sample_rate_hz: float,
                         n_samples: int, shift_samples: float = 0.0) -> np.ndarray:
     """Code chips sampled at the signal rate, optionally delayed by samples: the first L
     samples, L the fewest whole code periods that are whole samples (else n), repeated."""
-    step = code.chipping_rate_hz / sample_rate_hz
-    periods = CODE_LENGTH / step * np.arange(1, n_samples * step // CODE_LENGTH + 1)
+    return np.resize(_replica_period(code, sample_rate_hz, n_samples, shift_samples), n_samples)
+
+
+def _replica_period(code: SpreadingCode, f_s: float, n: int, shift: float) -> np.ndarray:
+    """The first L samples of sample_code_replica, which repeats them."""
+    step = code.chipping_rate_hz / f_s
+    periods = CODE_LENGTH / step * np.arange(1, n * step // CODE_LENGTH + 1)
     whole = periods[np.abs(periods - np.round(periods)) < 1e-6]
-    m = np.arange(round(whole[0]) if len(whole) else n_samples)
+    m = np.arange(round(whole[0]) if len(whole) else n)
     # chip pulses are centered on the chip instants after bandlimited
     # reconstruction, so round rather than floor the chip position
-    idx = np.floor((m - shift_samples) * step + 0.5).astype(np.int64)
-    return np.resize(code.chips[idx % CODE_LENGTH], n_samples)
+    idx = np.floor((m - shift) * step + 0.5).astype(np.int64)
+    return code.chips[idx % CODE_LENGTH]
 
 
 @lru_cache
@@ -113,60 +118,69 @@ def _fft_len(n: int) -> int:
 
 def acquire(buf: SignalBuffer, code: SpreadingCode,
             cfg: AcquisitionConfig = AcquisitionConfig()) -> AcquisitionResult:
-    """Parallel code phase search over the Doppler grid with the SNR gate.
+    """acquire_all for one code."""
+    return acquire_all(buf, [code], cfg)[0]
+
+
+def acquire_all(buf: SignalBuffer, codes: list[SpreadingCode],
+                cfg: AcquisitionConfig = AcquisitionConfig()) -> list[AcquisitionResult]:
+    """Parallel code phase search over the Doppler grid with the SNR gate, per code.
 
     Doppler bins k whole FFT bins (f_s / n) apart share one wiped-off spectrum,
-    as fft(x e^{-j2πkm/n}) = roll(fft(x), -k). Each bin's product with the
-    replica spectrum is cut to the code's main lobe, its m bins nearest DC
-    (m = _fft_len(4 R_c n / f_s), at most n), and a group's bins are
-    inverse-transformed at m points in one batch; the argmax picks the bin,
-    whose full-rate row gives the code phase. The SNR gate is the ratio of the
-    squared row peak to the mean of the squared row values, excluding lags
-    within one chip of the peak.
+    fft(x e^{-j2πkm/n}) = roll(fft(x), -k), made when the first code reaches the
+    group and reused by later codes. Each code's product spectrum is cut to its
+    main lobe, the m bins nearest DC (m = _fft_len(4 R_c n / f_s), at most n), and
+    a group's bins take one batched m-point inverse FFT; the argmax picks the bin,
+    whose full-rate row gives the code phase and the SNR gate: the squared row peak
+    over the mean squared row value, leaving out lags within one chip of the peak.
     """
     f_s = buf.sample_rate_hz
     n = round(f_s * cfg.coherent_ms * 1e-3)
     if len(buf) < n:
         raise ValueError("buffer shorter than the coherent integration length")
     seg = buf.samples[:n]
-    replica_fft = np.conj(np.fft.fft(sample_code_replica(code, f_s, n)))
     n_bins = int(round((cfg.freq_search_max_hz - cfg.freq_search_min_hz)
                        / cfg.freq_step_hz)) + 1
     freqs = cfg.freq_search_min_hz + cfg.freq_step_hz * np.arange(n_bins)
     residues = np.round(((freqs - freqs[0]) * n / f_s) % 1.0, 9) % 1.0
-    m = min(n, _fft_len(math.ceil(4 * code.chipping_rate_hz * n / f_s)))
-    kk = ((np.arange(m) + m // 2) % m - m // 2) % n  # the m bins nearest DC, in FFT order
-    lobe = replica_fft[kk]
-    surface = np.empty((n_bins, m))
-    wiped = {}
-    for r in np.unique(residues):
-        members = np.flatnonzero(residues == r)
-        f_g = freqs[members[0]]
-        spectrum = np.fft.fft(seg * _phasor(-(buf.if_offset_hz + f_g) / f_s, n))
-        shifts = np.round((freqs[members] - f_g) * n / f_s).astype(np.int64)
-        wiped.update((i, (spectrum, shift)) for i, shift in zip(members, shifts))
-        surface[members] = np.abs(np.fft.ifft(spectrum[(kk + shifts[:, None]) % n] * lobe)) ** 2
-    bin_idx = int(np.argmax(surface)) // m
-    row = surface[bin_idx]
-    if m < n:  # the full-rate row at the winning bin
-        spectrum, shift = wiped[bin_idx]
-        row = np.abs(np.fft.ifft(np.roll(spectrum, -shift) * replica_fft)) ** 2
-    tau = int(np.argmax(row))
-    n_s = round(f_s / code.chipping_rate_hz)  # samples per chip
-    keep = np.ones(n, dtype=bool)
-    keep[(tau + np.arange(1 - n_s, n_s)) % n] = False
-    noise = row[keep]
-    snr_db = 10.0 * np.log10(row[tau] ** 2 / np.mean(noise ** 2))
-    acquired = bool(snr_db >= cfg.snr_threshold_db)
-    coarse_hz = float(freqs[bin_idx])
-    fine_hz = math.nan
-    if acquired and len(buf) >= round(f_s * cfg.fine_freq_ms * 1e-3):
-        fine_hz = fine_frequency(buf, code, tau, coarse_hz, cfg)
-    return AcquisitionResult(
-        prn_id=code.prn_id, acquired=acquired, code_phase_samples=tau,
-        coarse_freq_hz=coarse_hz, fine_freq_hz=fine_hz,
-        snr_db=float(snr_db), noise_lag_count=int(len(noise)),
-        correlation_surface=surface if cfg.keep_surface else None)
+    spectra = {}  # residue -> its group's wiped-off spectrum
+    results = []
+    for code in codes:
+        replica_fft = np.conj(np.fft.fft(sample_code_replica(code, f_s, n)))
+        m = min(n, _fft_len(math.ceil(4 * code.chipping_rate_hz * n / f_s)))
+        kk = ((np.arange(m) + m // 2) % m - m // 2) % n  # the m bins nearest DC, in FFT order
+        lobe = replica_fft[kk]
+        surface = np.empty((n_bins, m))
+        wiped = {}
+        for r in np.unique(residues):
+            members = np.flatnonzero(residues == r)
+            f_g = freqs[members[0]]
+            if r not in spectra:
+                spectra[r] = np.fft.fft(seg * _phasor(-(buf.if_offset_hz + f_g) / f_s, n))
+            shifts = np.round((freqs[members] - f_g) * n / f_s).astype(np.int64)
+            wiped.update((i, (spectra[r], shift)) for i, shift in zip(members, shifts))
+            surface[members] = np.abs(np.fft.ifft(
+                spectra[r][(kk + shifts[:, None]) % n] * lobe)) ** 2
+        bin_idx = int(np.argmax(surface)) // m
+        row = surface[bin_idx]
+        if m < n:  # the full-rate row at the winning bin
+            spectrum, shift = wiped[bin_idx]
+            row = np.abs(np.fft.ifft(np.roll(spectrum, -shift) * replica_fft)) ** 2
+        tau = int(np.argmax(row))
+        n_s = round(f_s / code.chipping_rate_hz)  # samples per chip
+        noise = np.delete(row, (tau + np.arange(1 - n_s, n_s)) % n)
+        snr_db = 10.0 * np.log10(row[tau] ** 2 / np.mean(noise ** 2))
+        acquired = bool(snr_db >= cfg.snr_threshold_db)
+        coarse_hz = float(freqs[bin_idx])
+        fine_hz = math.nan
+        if acquired and len(buf) >= round(f_s * cfg.fine_freq_ms * 1e-3):
+            fine_hz = fine_frequency(buf, code, tau, coarse_hz, cfg)
+        results.append(AcquisitionResult(
+            prn_id=code.prn_id, acquired=acquired, code_phase_samples=tau,
+            coarse_freq_hz=coarse_hz, fine_freq_hz=fine_hz,
+            snr_db=float(snr_db), noise_lag_count=int(len(noise)),
+            correlation_surface=surface if cfg.keep_surface else None))
+    return results
 
 
 def fine_frequency(buf: SignalBuffer, code: SpreadingCode, tau_samples: int,
@@ -185,7 +199,12 @@ def fine_frequency(buf: SignalBuffer, code: SpreadingCode, tau_samples: int,
         raise ValueError(f"buffer shorter than fine_freq_ms = {cfg.fine_freq_ms} ms")
     if not 0 <= tau_samples < len(buf):
         raise ValueError("tau_samples out of range")
-    wiped = buf.samples[:n] * sample_code_replica(code, f_s, n, tau_samples)
+    period = _replica_period(code, f_s, n, tau_samples)
+    cut = n - n % len(period)
+    wiped = np.empty(n, dtype=np.complex128)
+    np.multiply(buf.samples[:cut].reshape(-1, len(period)), period,
+                out=wiped[:cut].reshape(-1, len(period)))  # one row per code period
+    np.multiply(buf.samples[cut:n], period[:n - cut], out=wiped[cut:])
     nfft = _fft_len(4 * n)
     spacing = 1.0 / (nfft * (1.0 / f_s))  # as np.fft.fftfreq computes it
     center = buf.if_offset_hz + coarse_hz
@@ -196,12 +215,20 @@ def fine_frequency(buf: SignalBuffer, code: SpreadingCode, tau_samples: int,
         raise ValueError(f"fine-frequency centre {center:.0f} Hz is past f_s/2 = {f_s / 2:.0f} Hz")
     p = math.isqrt(n)
     whole = n - n % p
-    twiddles = np.exp(-2j * np.pi * (np.outer(np.arange(p), k) % nfft) / nfft)
-    outer = np.exp(-2j * np.pi * (np.outer(np.arange(0, n, p), k) % nfft) / nfft)
+    twiddles = _dft_rows(1, p, k, nfft)
+    outer = _dft_rows(p, -(-n // p), k, nfft)
     spectrum = np.sum((wiped[:whole].reshape(-1, p) @ twiddles) * outer[:whole // p], axis=0)
     if whole < n:
         spectrum += (wiped[whole:] @ twiddles[:n - whole]) * outer[-1]
     return float(k[np.argmax(np.abs(spectrum))] * spacing - buf.if_offset_hz)
+
+
+def _dft_rows(step: int, count: int, k: np.ndarray, nfft: int) -> np.ndarray:
+    """Rows j < count of e^{-j2π (step·j·k mod nfft)/nfft}, j = 32a + b: the rows for
+    step·32a times those for step·b, each reduced mod nfft in integers."""
+    a, b = (np.exp(-2j * np.pi * (np.outer(r, k) % nfft) / nfft)
+            for r in (step * 32 * np.arange(-(-count // 32)) % nfft, step * np.arange(32)))
+    return (a[:, None] * b).reshape(-1, len(k))[:count]
 
 
 def _loop_gains(bw_hz: float, damping: float, gain: float) -> tuple[float, float]:
@@ -262,8 +289,6 @@ def track(buf: SignalBuffer, code: SpreadingCode, init: AcquisitionResult,
     if not init.acquired:
         raise ValueError("cannot track a source that was not acquired")
     f_s = buf.sample_rate_hz
-    samples = buf.samples
-    chips = code.chips
     r_c = code.chipping_rate_hz
     pdi = cfg.integration_ms * 1e-3
     if len(buf) < 10 * pdi * f_s:
@@ -271,8 +296,7 @@ def track(buf: SignalBuffer, code: SpreadingCode, init: AcquisitionResult,
 
     if not math.isfinite(init.fine_freq_hz):
         raise ValueError("fine_freq_hz must be finite; acquire sets it from fine_freq_ms of signal")
-    carr_freq = buf.if_offset_hz + init.fine_freq_hz
-    carr_freq_basis = carr_freq
+    carr_freq = carr_freq_basis = buf.if_offset_hz + init.fine_freq_hz
     code_freq = r_c
     chips_per_epoch = round(r_c * pdi)
     nominal_epoch_samples = chips_per_epoch * f_s / r_c
@@ -280,28 +304,25 @@ def track(buf: SignalBuffer, code: SpreadingCode, init: AcquisitionResult,
     tau1_code, tau2_code = _loop_gains(cfg.dll_bw_hz, cfg.damping, 1.0)
     tau1_carr, tau2_carr = _loop_gains(cfg.pll_bw_hz, cfg.damping, 0.25)
 
-    rem_code_phase = 0.0
-    rem_carr_phase = 0.0
+    rem_code_phase = rem_carr_phase = 0.0
     code_nco = old_code_err = 0.0
     carr_nco = old_carr_err = 0.0
     spacing = cfg.correlator_spacing_chips
 
     p = init.code_phase_samples
-    epoch = 0
-    rows = []
+    rows = []  # one per epoch
     lock_floor = None
     weak_count = 0
     while True:
         code_step = code_freq / f_s
         blksize = math.ceil((chips_per_epoch - rem_code_phase) / code_step)
-        if p + blksize > len(samples):
+        if p + blksize > len(buf):
             break
         base = _phasor(-carr_freq / f_s, blksize, -rem_carr_phase)
-        base *= samples[p:p + blksize]
+        base *= buf.samples[p:p + blksize]
         rem_carr_phase = ((rem_carr_phase + 2.0 * np.pi * carr_freq * blksize / f_s)
                           % (2.0 * np.pi))
-        c_e, c_p, c_l = _early_prompt_late(base, chips, rem_code_phase, code_step, spacing)
-        new_rem = rem_code_phase + blksize * code_step - chips_per_epoch
+        c_e, c_p, c_l = _early_prompt_late(base, code.chips, rem_code_phase, code_step, spacing)
 
         code_err = dll_discriminator(c_e.real, c_e.imag, c_l.real, c_l.imag)
         code_nco = _loop_filter(code_nco, code_err, old_code_err, tau1_code, tau2_code, pdi)
@@ -316,8 +337,8 @@ def track(buf: SignalBuffer, code: SpreadingCode, init: AcquisitionResult,
         carr_freq = carr_freq_basis + carr_nco
 
         code_start = p - rem_code_phase / code_step
-        delay = code_start - epoch * nominal_epoch_samples
-        rows.append((epoch * pdi, delay, carr_freq - buf.if_offset_hz,
+        delay = code_start - len(rows) * nominal_epoch_samples
+        rows.append((len(rows) * pdi, delay, carr_freq - buf.if_offset_hz,
                      c_p.real, c_p.imag, code_err, carr_err))
 
         power = abs(c_p) ** 2
@@ -328,11 +349,7 @@ def track(buf: SignalBuffer, code: SpreadingCode, init: AcquisitionResult,
             break
 
         p += blksize
-        rem_code_phase = new_rem
-        epoch += 1
+        rem_code_phase = rem_code_phase + blksize * code_step - chips_per_epoch
 
-    arr = np.asarray(rows, dtype=np.float64).reshape(-1, 7)
-    return TrackingTrace(epoch_s=arr[:, 0], code_delay_samples=arr[:, 1],
-                         doppler_hz=arr[:, 2], prompt_i=arr[:, 3],
-                         prompt_q=arr[:, 4], dll_discriminator=arr[:, 5],
-                         pll_discriminator=arr[:, 6], loss_of_lock=weak_count >= LOCK_LOSS_EPOCHS)
+    columns = np.asarray(rows, dtype=np.float64).reshape(-1, 7).T  # in TrackingTrace's order
+    return TrackingTrace(*columns, loss_of_lock=weak_count >= LOCK_LOSS_EPOCHS)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from synthrf import cdma, channel, iqio, prs, receiver
+from synthrf import cdma, channel, iqio, prn, prs, receiver
 from synthrf.cli import ConfigError, _build, build_parser, main
 from synthrf.dsp import SignalBuffer
 
@@ -301,6 +301,51 @@ class TestAcquireTrack:
         rows = read_rows(out)
         assert len(rows) == 12 and {r["prn_id"] for r in rows} == {"5"}
 
+    def test_acquire_writes_the_per_prn_results(self, tmp_path):
+        # one search over a 5-PRN recording (and a PRN it lacks) writes the rows of
+        # separate receiver.acquire calls
+        prns = (2, 5, 11, 23, 29)
+        spec = dict(CHANNEL_SPEC, duration_s=0.012, sources=[
+            {"id": f"sat{i}", "kind": "satellite", "los": True,
+             "paths": [{"initial_delay_s": (10 + 2 * i) * 1e-6, "doppler_hz": 1000.0 * i - 2500.0}]}
+            for i in range(len(prns))])
+        cfg = dict(CDMA_CONFIG, duration_s=0.012,
+                   sources=[{"prn_id": p, "source_id": f"sat{i}"} for i, p in enumerate(prns)])
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        rec, out = tmp_path / "rec.iq", tmp_path / "acq.csv"
+        assert main(["gen-channel", "--spec", str(tmp_path / "spec.json"),
+                     "--out", str(tmp_path / "ch.bin")]) == 0
+        assert main(["synthesize", "cdma", "--config", str(tmp_path / "cfg.json"),
+                     "--channel", str(tmp_path / "ch.bin"), "--out", str(rec)]) == 0
+        assert main(["acquire", "--iq", str(rec), "--prn", "2,5,11,23,29,17",
+                     "--out", str(out)]) == 0
+        buf, _ = iqio.read_iq(rec)
+        rows = read_rows(out)
+        assert [r["acquired"] for r in rows] == ["1"] * 5 + ["0"]
+        for row, prn_id in zip(rows, (*prns, 17), strict=True):
+            res = receiver.acquire(buf, prn.generate_ca_code(prn_id))
+            assert [row[k] for k in ("prn_id", "acquired", "code_phase_samples",
+                                     "coarse_freq_hz", "fine_freq_hz", "snr_db")] == \
+                [str(v) for v in (prn_id, int(res.acquired), res.code_phase_samples,
+                                  res.coarse_freq_hz, res.fine_freq_hz, res.snr_db)]
+
+    @pytest.mark.parametrize("command", ["acquire", "track"])
+    @pytest.mark.parametrize("r_c_hz", ["abc", 0.0, -1.0, 1e9, 19.096e6 + 1.0, None, True,
+                                        float("nan"), float("inf")])
+    def test_a_bad_chip_rate_is_usage_error(self, cdma_iq, tmp_path, capsys, command, r_c_hz):
+        # r_c_hz must be a positive number no larger than f_s/2, as CdmaGenConfig requires
+        path = tmp_path / "rec.iq"
+        path.write_bytes(cdma_iq.read_bytes())
+        side = iqio.sidecar_path(path)
+        meta = json.loads(iqio.sidecar_path(cdma_iq).read_text())
+        side.write_text(json.dumps(dict(meta, r_c_hz=r_c_hz)))
+        out = tmp_path / "x.csv"
+        assert main([command, "--iq", str(path), "--prn", "5", "--out", str(out)]) == 2
+        assert (f"error: {side}: field 'r_c_hz' must be a number in (0, f_s/2 = 1.9096e+07 Hz], "
+                f"got {r_c_hz!r}") in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("r_c_hz", [1.023e6, 10.23e6])
     def test_code_phase_error_wraps_to_one_code_period(self, tmp_path, r_c_hz):
         # the second source lags the anchor by 1.5 ms: 1.5 code periods at
@@ -341,6 +386,7 @@ class TestAcquireTrack:
         ("i16", {"full_scale": None}, "field 'full_scale'"),
         ("f32", {"n_samples": 10.7}, "field 'n_samples'"),
         ("i16", {"full_scale": 0}, "field 'full_scale' must be positive"),
+        ("f32", {"sample_rate_hz": 0}, "field 'sample_rate_hz' must be positive"),
     ])
     def test_malformed_sidecar_is_runtime_error(self, tmp_path, capsys, fmt, edit, field):
         path = tmp_path / "rec.iq"

@@ -72,6 +72,14 @@ def test_i16_full_scale_not_positive_and_finite_rejected_before_writing(tmp_path
     assert not list(tmp_path.iterdir())
 
 
+def test_i16_full_scale_with_f32_rejected_before_writing(tmp_path):
+    # f32 samples are written unscaled, so a full scale would be silently ignored
+    with pytest.raises(ValueError, match="i16_full_scale applies only to fmt='i16', got 8.0"):
+        iqio.write_iq(tmp_path / "rec.iq", SignalBuffer(np.ones(4, dtype=complex), 1e6),
+                      fmt="f32", i16_full_scale=8.0)
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("fmt", ["f32", "i16"])
 @pytest.mark.parametrize("key", ["format", "sample_rate_hz", "if_offset_hz", "n_samples",
                                  "full_scale"])
@@ -217,6 +225,8 @@ def test_write_and_read_allocate_blocks_beside_the_samples(tmp_path, fmt):
     ("f32", {"if_offset_hz": 10 ** 400}, "field 'if_offset_hz' must be a finite number"),
     ("i16", {"full_scale": 0}, "field 'full_scale' must be positive, got 0"),
     ("i16", {"full_scale": -8.0}, "field 'full_scale' must be positive, got -8.0"),
+    ("f32", {"sample_rate_hz": 0}, "field 'sample_rate_hz' must be positive, got 0"),
+    ("i16", {"sample_rate_hz": -1.0}, "field 'sample_rate_hz' must be positive, got -1.0"),
 ])
 def test_malformed_sidecar_rejected_naming_the_field(tmp_path, fmt, edit, message):
     path = tmp_path / "rec.iq"

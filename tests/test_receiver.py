@@ -4,6 +4,7 @@ synthesizer, the SNR gate, fine frequency, discriminators, and tracking."""
 import dataclasses
 import math
 import re
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from synthrf.channel import (ChannelSpec, generate_synthetic_channel,
                              propagate_and_sum)
 from synthrf.dsp import SignalBuffer, add_awgn
 from synthrf.receiver import (LOCK_LOSS_EPOCHS, AcquisitionConfig, AcquisitionResult,
-                              TrackingConfig, acquire, dll_discriminator,
+                              TrackingConfig, acquire, acquire_all, dll_discriminator,
                               fine_frequency, pll_discriminator,
                               sample_code_replica, track)
 
@@ -391,6 +392,47 @@ def gate_trial(clean, channel_seed, noise_seed):
     return add_awgn(composite, cn0_to_noise_dbw(F_S, 45.0), noise_seed)
 
 
+@lru_cache
+def clean_prns(f_s, r_c):
+    """Three PRNs at scene A's delays and Dopplers, 10 ms on a quarter-rate IF, with no noise."""
+    n = round(f_s * 0.01)
+    x = np.zeros(n, dtype=complex)
+    for prn_id, (delay_s, doppler_hz) in zip((2, 5, 11), GATE_PATHS):
+        code = prn.generate_ca_code(prn_id, chipping_rate_hz=r_c)
+        x += (per_sample_replica(code, f_s, n, delay_s * f_s)
+              * np.exp(2j * np.pi * (f_s / 4 + doppler_hz) * np.arange(n) / f_s))
+    return x
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# (sample rate, chip rate): scene A, a 4-sample-per-chip recording and HAPS at 10.23 Mcps
+RATE_PAIRS = [(F_S, 1.023e6), (4.092e6, 1.023e6), (F_S, 10.23e6)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(prns=st.lists(st.one_of(st.sampled_from((2, 5, 11)), st.integers(1, 32)),
+                    min_size=1, max_size=5, unique=True),
+       noise_seed=st.integers(0, 2 ** 32 - 1), rates=st.sampled_from(RATE_PAIRS))
+def test_acquire_all_changes_no_output_bit(prns, noise_seed, rates):
+    # every result of one search over all codes is the per-code search's, bit for bit
+    f_s, r_c = rates
+    buf = add_awgn(SignalBuffer(clean_prns(f_s, r_c), f_s, if_offset_hz=f_s / 4),
+                   10.0 * math.log10(f_s) - 55.0, noise_seed)
+    cfg = AcquisitionConfig(keep_surface=True)
+    codes = [prn.generate_ca_code(p, chipping_rate_hz=r_c) for p in prns]
+    together = acquire_all(buf, codes, cfg)
+    assert [res.prn_id for res in together] == prns
+    for code, res in zip(codes, together):
+        alone = acquire(buf, code, cfg)
+        for field in dataclasses.fields(AcquisitionResult):
+            assert same_bits(getattr(res, field.name), getattr(alone, field.name)), \
+                (code.prn_id, field.name)
+
+
 class TestMainLobeSearch:
     """Picking the bin on the main-lobe surface and the lag on one full-rate
     row decides as the full-rate search does."""
@@ -455,6 +497,28 @@ def padded_two_stage_fine_frequency(buf, code, tau_samples, coarse_hz,
     outer = np.exp(-2j * np.pi * (np.outer(p * np.arange(len(blocks)), k) % nfft) / nfft)
     spectrum = np.abs(np.sum(inner * outer, axis=0))
     return float(k[np.argmax(spectrum)] * spacing - buf.if_offset_hz)
+
+
+@pytest.mark.parametrize("r_c,f_if", [(1.023e6, 9.548e6), (10.23e6, 15e6)])
+def test_fine_frequency_tables_match_the_per_entry_exp(monkeypatch, r_c, f_if):
+    # the twiddle and outer tables, from short outer products, against one exp per entry
+    tables = []
+    dft_rows = receiver._dft_rows
+
+    def recording(step, count, k, nfft):
+        tables.append((step, count, k, nfft, dft_rows(step, count, k, nfft)))
+        return tables[-1][-1]
+    monkeypatch.setattr(receiver, "_dft_rows", recording)
+    code = prn.generate_ca_code(7, chipping_rate_hz=r_c)
+    buf = SignalBuffer(per_sample_replica(code, F_S, round(F_S * 0.01)), F_S,
+                       if_offset_hz=f_if)
+    for coarse_hz in (-5000.0, 0.0, 3500.0):
+        fine_frequency(buf, code, 0, coarse_hz)
+    assert [t[:2] for t in tables] == [(1, 617), (617, 619)] * 3
+    for step, count, k, nfft, table in tables:
+        want = np.exp(-2j * np.pi * (np.outer(step * np.arange(count), k) % nfft) / nfft)
+        assert table.shape == want.shape
+        assert np.max(np.abs(table - want)) <= 1e-14
 
 
 class TestPeriodReplicaFineFrequency:
