@@ -185,6 +185,8 @@ def _parse_prn_list(text: str) -> list[int]:
         raise ConfigError("empty PRN list")
     if bad := [p for p in prns if not 1 <= p <= 32]:
         raise ConfigError(f"PRN {bad[0]} is outside 1..32")
+    if repeated := [p for p in dict.fromkeys(prns) if prns.count(p) > 1]:  # 32 counts at most
+        raise ConfigError(f"PRN {repeated[0]} is listed more than once")
     return prns
 
 

@@ -6,8 +6,8 @@ the remaining cells, and the OFDM modulator/demodulator pair.
 
 The modem reads the slot layout (TS 38.211 5.3.1) from one table per carrier,
 _slot_table: each slot sample's index into the slot's 14 stacked IFFT bodies,
-and each body sample's position in the slot.  A slot is one (14, n_fft) IFFT
-and a gather; demodulation is the inverse gather and one FFT.
+and each body sample's position in the slot.  A slot with cells is one (14,
+n_fft) IFFT and a gather; demodulation is the inverse gather and one FFT.
 """
 
 from __future__ import annotations
@@ -223,14 +223,19 @@ def _bodies(frames: np.ndarray, cells: np.ndarray, carrier: CarrierConfig) -> np
 
 
 def ofdm_modulate(grids, carrier: CarrierConfig) -> SignalBuffer:
-    """OFDM-modulate a sequence of slot grids at f_s = n_fft * scs."""
+    """OFDM-modulate a sequence of slot grids at f_s = n_fft * scs.  A slot of +0 cells stays +0,
+    with no IFFT, where the IFFT of zeros is +0 (not at n_fft 89, 101, ...: it holds -0)."""
     source, n_sc = _slot_table(carrier)[0], carrier.n_subcarriers
-    out = np.empty((len(grids), len(source)), dtype=np.complex128)
+    out = np.zeros((len(grids), len(source)), dtype=np.complex128)
     frames = np.zeros((SYMBOLS_PER_SLOT, carrier.n_fft), dtype=np.complex128)
+    zeros_stay = not np.signbit(np.fft.ifft(frames).view(np.float64)).any()
     for slot, grid in zip(out, grids):
         if grid.cells.shape != (n_sc, SYMBOLS_PER_SLOT):
             raise ValueError("grid shape does not match the carrier config")
-        slot[:] = _bodies(frames, grid.cells.T, carrier).ravel()[source]
+        cells = grid.cells.astype(np.complex128, copy=False)
+        if zeros_stay and not cells.view((np.uint64, 2)).any():  # each cell +0, bit for bit
+            continue
+        slot[:] = _bodies(frames, cells.T, carrier).ravel()[source]
     return SignalBuffer(out.ravel(), carrier.sample_rate_hz)
 
 
@@ -269,8 +274,11 @@ def synthesize_gnb(carrier: CarrierConfig, prs_configs: dict[str, PrsResourceCon
     if not prs_configs:
         raise ValueError("no gNB sources configured")
     _check_draws(noise_power_dbw, seed=seed, noise_seed=noise_seed)
-    if not np.isfinite(duration_s) or (n_slots := round(duration_s / carrier.slot_duration_s)) < 1:
+    slot_s = carrier.slot_duration_s
+    if not np.isfinite(duration_s) or (n_slots := round(duration_s / slot_s)) < 1:
         raise ValueError("duration_s shorter than one slot, or not finite")
+    if abs(duration_s / slot_s - n_slots) > 1e-9 * n_slots:  # 0.043 s is 42.99999999999999
+        raise ValueError(f"duration_s {duration_s:g} s must be whole slots of {slot_s:.9g} s")
     d_min_s = earliest_delay_s(channels, prs_configs)
     f_s, n_fft, n_sc = carrier.sample_rate_hz, carrier.n_fft, carrier.n_subcarriers
     n_sym, total = SYMBOLS_PER_SLOT, np.zeros(n_slots * carrier.samples_per_slot, np.complex128)

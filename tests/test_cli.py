@@ -427,6 +427,16 @@ class TestAcquireTrack:
             assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("command", ["acquire", "track"])
+    def test_repeated_prn_is_usage_error(self, cdma_iq, tmp_path, capsys, monkeypatch, command):
+        # the check runs before the recording is read, so read_iq is never reached
+        monkeypatch.setattr(iqio, "read_iq", lambda *args: pytest.fail("recording read"))
+        out = tmp_path / "x.csv"
+        assert main([command, "--iq", str(cdma_iq), "--prn", "9,5,17,5",
+                     "--out", str(out)]) == 2
+        assert "error: PRN 5 is listed more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["acquire", "track"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_snr_threshold_is_usage_error(self, tmp_path, capsys, command, value):
         # the recording does not exist: the threshold is checked before it is read
@@ -590,6 +600,8 @@ class TestStrictSchema:
         ("cdma", (), "duration_s", NAN,
          "duration_s must hold at least one sample at f_s_hz, and be finite"),
         ("prs", (), "duration_s", NAN, "duration_s shorter than one slot, or not finite"),
+        # 1.6 slots was rounded to 2 without a word
+        ("prs", (), "duration_s", 0.0016, "duration_s 0.0016 s must be whole slots of 0.001 s"),
         ("spec", (), "duration_s", NAN,
          "duration_s holds no snapshot at update_rate_hz, or is not finite"),
         # 20 ms at -1e-3 s/s takes the 10 us delay to -10 us

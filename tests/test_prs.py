@@ -221,6 +221,9 @@ def _gnb_channels():
     (lambda: synthesize_gnb(CarrierConfig(), {"g": PrsResourceConfig()}, _gnb_channels(),
                             1e-4, 0),
      "duration_s shorter than one slot"),
+    (lambda: synthesize_gnb(CarrierConfig(), {"g": PrsResourceConfig()}, _gnb_channels(),
+                            0.0014, 0),
+     "duration_s 0.0014 s must be whole slots of 0.001 s"),
 ])
 def test_bad_input_is_rejected_naming_the_field(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -378,6 +381,13 @@ def delayed_path_channel(delays_s, coefficients=(0.0, 1.0), n_snap=50, f_ch=1e3)
 
 
 class TestSynthesizeGnb:
+    def test_whole_slots_are_taken_within_rounding(self):
+        # 0.043 / 0.001 is 42.99999999999999 in floating point
+        channels = generate_synthetic_channel(ChannelSpec(
+            sources=(los_source("g", 1e-6, 0.0, kind="gnb"),), duration_s=0.043))
+        buf = synthesize_gnb(CarrierConfig(), {"g": PrsResourceConfig()}, channels, 0.043, 0)
+        assert len(buf) == 43 * CarrierConfig().samples_per_slot
+
     @settings(max_examples=30, deadline=None)
     @given(tau=st.one_of(st.integers(0, 71).map(float),
                          st.floats(0.0, 72.0, exclude_max=True, allow_subnormal=False)))
@@ -557,3 +567,66 @@ class TestModemMatchesPerSymbolLoops:
             back = ofdm_demodulate(SignalBuffer(samples, carrier.sample_rate_hz), carrier)
             for grid, cells in zip(back, reference_demodulate(samples, carrier), strict=True):
                 np.testing.assert_array_equal(grid.cells, cells)
+
+
+# --- the every-slot modulator, kept as the oracle of the slot skip -----------
+
+def every_slot_modulate(grids, carrier):
+    """The modulator without the skip: an IFFT and a gather for every slot, cells or none."""
+    source = prs._slot_table(carrier)[0]
+    out = np.empty((len(grids), len(source)), dtype=np.complex128)
+    frames = np.zeros((prs.SYMBOLS_PER_SLOT, carrier.n_fft), dtype=np.complex128)
+    for slot, grid in zip(out, grids):
+        slot[:] = prs._bodies(frames, grid.cells.T, carrier).ravel()[source]
+    return out.ravel()
+
+
+SIGNED_ZEROS = np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
+
+
+@st.composite
+def sparse_slot_cases(draw):
+    """A carrier of any n_fft from 15 to 2048 and 1-6 slot grids, each empty (+0, or with
+    signed zeros in some cells) or with a random subset of its symbols and cells non-zero."""
+    n_fft = draw(st.integers(15, 2048))
+    carrier = CarrierConfig(n_rb=draw(st.integers(1, min(52, n_fft // 12))), n_fft=n_fft)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    grids = []
+    for kind in draw(st.lists(st.sampled_from(["+0", "signed zeros", "cells"]),
+                              min_size=1, max_size=6)):
+        grid = ResourceGrid.empty(carrier)
+        shape = grid.cells.shape
+        if kind == "signed zeros":
+            grid.cells[:] = np.where(rng.random(shape) < 0.5, rng.choice(SIGNED_ZEROS, shape), 0)
+        elif kind == "cells":
+            used = (rng.random(shape) < rng.random()) & (rng.random(shape[1]) < rng.random())
+            real, imag = rng.standard_normal((2, used.sum()))
+            grid.cells[used] = real + 1j * imag
+        grids.append(grid)
+    return carrier, grids
+
+
+class TestModulateSkipsSlotsWithoutCells:
+    @settings(max_examples=80, deadline=None)
+    @given(case=sparse_slot_cases())
+    # the IFFT of zeros is +0 throughout at 1024, and holds -0 samples at 89
+    @example(case=(CarrierConfig(), [ResourceGrid.empty(CarrierConfig())] * 3))
+    @example(case=(CarrierConfig(n_rb=1, n_fft=89), [ResourceGrid.empty(
+        CarrierConfig(n_rb=1, n_fft=89))] * 2))
+    def test_skipping_changes_no_output_bit(self, case):
+        carrier, grids = case
+        got = ofdm_modulate(grids, carrier).samples
+        assert got.tobytes() == every_slot_modulate(grids, carrier).tobytes()
+
+    @pytest.mark.parametrize("with_pdsch,calls", [(False, 2), (True, 20)])
+    def test_only_slots_with_cells_are_transformed(self, monkeypatch, with_pdsch, calls):
+        # period 10: the PRS occupies slots 0 and 10 of 20; the filler every slot
+        carrier, res = CarrierConfig(n_cell_id=1), PrsResourceConfig(n_prs_id=10)
+        grids = [prs._slot_grid(carrier, res, s, 3, with_pdsch) for s in range(20)]
+        want = every_slot_modulate(grids, carrier)
+        made = []
+        bodies = prs._bodies
+        monkeypatch.setattr(prs, "_bodies", lambda *args: made.append(1) or bodies(*args))
+        got = gnb_clean_waveform(carrier, res, 20, seed=3, with_pdsch=with_pdsch).samples
+        assert len(made) == calls
+        assert got.tobytes() == want.tobytes()
