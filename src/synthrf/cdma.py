@@ -6,8 +6,8 @@ so the delay varies in time and the code carries its Doppler.  A table lookup
 by the chip pattern around that phase and its fraction gives the band-limited
 chip waveform.  Paths are scaled by their coefficients and summed over
 sources; the sum is mixed to the intermediate frequency once.  synthesize renders blocks
-of dsp.BLOCK_SAMPLES concurrently, one thread per usable CPU, then adds noise to the sum in
-place, a block of draws at a time (all I, then all Q), so only the output is full length.
+of dsp.BLOCK_SAMPLES on dsp.pool_map, the thread pool the receiver shares, then adds noise
+to the sum in place, a block of draws at a time (all I, then all Q): only the output is full length.
 A path's chip rows are anchored once, on its code phases at the first and last sample,
 which bound all others for |dD/dt| < 1; so neither blocks nor the worker count change a bit.
 """
@@ -15,8 +15,6 @@ which bound all others for |dD/dt| < 1; so neither blocks nor the worker count c
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,7 +22,7 @@ import numpy as np
 
 from . import prn
 from .channel import ChannelSet, _interp, _time_axes, earliest_delay_s
-from .dsp import BLOCK_SAMPLES, SignalBuffer, _add_noise, _check_draws, _phasor
+from .dsp import BLOCK_SAMPLES, SignalBuffer, _add_noise, _check_draws, _phasor, pool_map
 
 HAPS_DEFAULTS = dict(f_if_hz=15e6, r_c_hz=10.23e6)
 
@@ -180,8 +178,6 @@ def synthesize(cfg: CdmaGenConfig, channels: ChannelSet) -> SignalBuffer:
             total[start:stop] += weighted
         block = total[start:stop]  # mixed out of place: numpy rounds a one-sample *= differently
         block[:] = block * _phasor(cfg.f_if_hz / cfg.f_s_hz, stop - start, 0.0, start)
-    starts = range(0, len(total), BLOCK_SAMPLES)  # numpy's interp, gathers, ufuncs drop the GIL
-    with ThreadPoolExecutor(min(len(os.sched_getaffinity(0)), len(starts))) as pool:
-        list(pool.map(render, starts))  # reads every result: a block's exception leaves here
+    pool_map(render, range(0, len(total), BLOCK_SAMPLES))
     _add_noise(total, cfg.noise_power_dbw, cfg.noise_seed)
     return SignalBuffer(total, cfg.f_s_hz, if_offset_hz=cfg.f_if_hz)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cdma, channel, iqio, prn, prs, receiver
+from . import cdma, channel, dsp, iqio, prn, prs, receiver
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -207,8 +207,8 @@ def _acquisitions(args):
                           f"(0, f_s/2 = {buf.sample_rate_hz / 2:.6g} Hz], got {r_c!r}")
     truth = {int(t["prn_id"]): t for t in meta.get("ground_truth", []) if "prn_id" in t}
     codes = [prn.generate_ca_code(p, chipping_rate_hz=float(r_c)) for p in prns]
-    for code, res in zip(codes, receiver.acquire_all(buf, codes, acq_cfg)):
-        yield buf, truth.get(code.prn_id), code, res
+    return [(buf, truth.get(c.prn_id), c, res)
+            for c, res in zip(codes, receiver.acquire_all(buf, codes, acq_cfg))]
 
 
 def cmd_acquire(args) -> int:
@@ -235,12 +235,15 @@ def cmd_acquire(args) -> int:
 
 
 def cmd_track(args) -> int:
+    acquisitions = _acquisitions(args)
+    traces = iter(dsp.pool_map(lambda a: receiver.track(a[0], a[2], a[3]),
+                               [a for a in acquisitions if a[3].acquired]))  # a PRN an item
     rows = []
-    for buf, t, code, res in _acquisitions(args):
+    for buf, t, code, res in acquisitions:
         if not res.acquired:
             print(f"PRN {code.prn_id:02d}: not acquired (snr={res.snr_db:.1f} dB), skipped")
             continue
-        trace = receiver.track(buf, code, res)
+        trace = next(traces)
         columns = [f.name for f in dataclasses.fields(trace) if f.name != "loss_of_lock"]
         for i in range(len(trace)):  # a row per epoch, a column per trace array
             row = {"prn_id": code.prn_id, **{c: getattr(trace, c)[i] for c in columns}}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,6 +41,14 @@ def _phasor(cycles: float, n: int, phase_rad: float = 0.0, start: int = 0) -> np
     block = np.exp(2j * np.pi * ((head * starts % 1.0 + (cycles - head) * starts) % 1.0)
                    + 1j * phase_rad)
     return (block[:, None] * np.exp(2j * np.pi * cycles * np.arange(p))).ravel()[:n]
+
+
+def pool_map(fn, items) -> list:
+    """[fn(x) for x in items] on min(usable CPUs, items) threads, in order; 1 item inline."""
+    if len(items) < 2:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(min(len(os.sched_getaffinity(0)), len(items))) as pool:
+        return list(pool.map(fn, items))  # numpy drops the GIL; the first raise ends all workers
 
 
 def add_awgn(buf: SignalBuffer, noise_power_dbw: float, seed: int) -> SignalBuffer:

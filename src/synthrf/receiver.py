@@ -1,6 +1,6 @@
-"""Software receiver: parallel code phase search acquisition on shared
-wiped-off spectra and the code's main lobe, fine frequency estimation on its
-search band's DFT bins, and DLL/PLL tracking on one segmented sum per epoch."""
+"""Software receiver: parallel code phase search acquisition on shared wiped-off spectra and
+the code's main lobe, fine frequency estimation on its search band's DFT bins, and DLL/PLL
+tracking on one segmented sum per epoch; codes and PRNs run as items of dsp.pool_map."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dsp import SignalBuffer, _phasor
+from .dsp import BLOCK_SAMPLES, SignalBuffer, _phasor, pool_map
 from .prn import CODE_LENGTH, SpreadingCode
 
 LOCK_FLOOR_FRACTION = 0.01  # an epoch is weak below this fraction of the first's prompt power
@@ -31,8 +31,9 @@ class AcquisitionConfig:
         for name in ("freq_step_hz", "coherent_ms", "fine_freq_ms"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if not math.isfinite(self.snr_threshold_db):
-            raise ValueError("snr_threshold_db must be finite")
+        for name in ("snr_threshold_db", "freq_search_min_hz", "freq_search_max_hz"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.freq_search_min_hz >= self.freq_search_max_hz:
             raise ValueError("freq_search_min_hz must be below freq_search_max_hz")
         if self.coherent_ms > self.fine_freq_ms:
@@ -65,8 +66,9 @@ class TrackingConfig:
 
     def __post_init__(self):
         if bad := [n for n in ("dll_bw_hz", "pll_bw_hz", "integration_ms", "damping",
-                               "correlator_spacing_chips") if not getattr(self, n) > 0]:
-            raise ValueError(f"{bad[0]} must be positive")
+                               "correlator_spacing_chips", "carrier_freq_hz")
+                   if not 0 < getattr(self, n) < math.inf]:  # NaN too
+            raise ValueError(f"{bad[0]} must be positive and finite")
         if self.correlator_spacing_chips > 1.0:
             raise ValueError("correlator_spacing_chips must not exceed one chip")
 
@@ -126,13 +128,12 @@ def acquire_all(buf: SignalBuffer, codes: list[SpreadingCode],
                 cfg: AcquisitionConfig = AcquisitionConfig()) -> list[AcquisitionResult]:
     """Parallel code phase search over the Doppler grid with the SNR gate, per code.
 
-    Doppler bins k whole FFT bins (f_s / n) apart share one wiped-off spectrum,
-    fft(x e^{-j2πkm/n}) = roll(fft(x), -k), made when the first code reaches the
-    group and reused by later codes. Each code's product spectrum is cut to its
-    main lobe, the m bins nearest DC (m = _fft_len(4 R_c n / f_s), at most n), and
-    a group's bins take one batched m-point inverse FFT; the argmax picks the bin,
-    whose full-rate row gives the code phase and the SNR gate: the squared row peak
-    over the mean squared row value, leaving out lags within one chip of the peak.
+    Doppler bins k whole FFT bins (f_s / n) apart share one wiped-off spectrum, fft(x e^{-j2π
+    km/n}) = roll(fft(x), -k), all made first; then each code is one dsp.pool_map item. Its
+    product spectrum is cut to its main lobe, the m bins nearest DC (m = _fft_len(4 R_c n /
+    f_s), at most n), and a group's bins take one batched m-point inverse FFT; the argmax
+    picks the bin, whose full-rate row gives the code phase and the SNR gate: the squared
+    row peak over the mean squared row value, leaving out lags within one chip of the peak.
     """
     f_s = buf.sample_rate_hz
     n = round(f_s * cfg.coherent_ms * 1e-3)
@@ -143,29 +144,25 @@ def acquire_all(buf: SignalBuffer, codes: list[SpreadingCode],
                        / cfg.freq_step_hz)) + 1
     freqs = cfg.freq_search_min_hz + cfg.freq_step_hz * np.arange(n_bins)
     residues = np.round(((freqs - freqs[0]) * n / f_s) % 1.0, 9) % 1.0
-    spectra = {}  # residue -> its group's wiped-off spectrum
-    results = []
-    for code in codes:
+    unique, group = np.unique(residues, return_inverse=True)  # each bin's group
+    groups = [np.flatnonzero(group == g) for g in range(len(unique))]
+    spectra = [np.fft.fft(seg * _phasor(-(buf.if_offset_hz + freqs[g[0]]) / f_s, n))
+               for g in groups]  # each group's wiped-off spectrum, shared by every code
+    shifts = np.round((freqs - freqs[[g[0] for g in groups]][group]) * n / f_s).astype(np.int64)
+    def search(code: SpreadingCode) -> AcquisitionResult:
         replica_fft = np.conj(np.fft.fft(sample_code_replica(code, f_s, n)))
         m = min(n, _fft_len(math.ceil(4 * code.chipping_rate_hz * n / f_s)))
         kk = ((np.arange(m) + m // 2) % m - m // 2) % n  # the m bins nearest DC, in FFT order
         lobe = replica_fft[kk]
         surface = np.empty((n_bins, m))
-        wiped = {}
-        for r in np.unique(residues):
-            members = np.flatnonzero(residues == r)
-            f_g = freqs[members[0]]
-            if r not in spectra:
-                spectra[r] = np.fft.fft(seg * _phasor(-(buf.if_offset_hz + f_g) / f_s, n))
-            shifts = np.round((freqs[members] - f_g) * n / f_s).astype(np.int64)
-            wiped.update((i, (spectra[r], shift)) for i, shift in zip(members, shifts))
+        for members, spectrum in zip(groups, spectra):
             surface[members] = np.abs(np.fft.ifft(
-                spectra[r][(kk + shifts[:, None]) % n] * lobe)) ** 2
+                spectrum[(kk + shifts[members, None]) % n] * lobe)) ** 2
         bin_idx = int(np.argmax(surface)) // m
         row = surface[bin_idx]
         if m < n:  # the full-rate row at the winning bin
-            spectrum, shift = wiped[bin_idx]
-            row = np.abs(np.fft.ifft(np.roll(spectrum, -shift) * replica_fft)) ** 2
+            row = np.abs(np.fft.ifft(
+                np.roll(spectra[group[bin_idx]], -shifts[bin_idx]) * replica_fft)) ** 2
         tau = int(np.argmax(row))
         n_s = round(f_s / code.chipping_rate_hz)  # samples per chip
         noise = np.delete(row, (tau + np.arange(1 - n_s, n_s)) % n)
@@ -173,14 +170,15 @@ def acquire_all(buf: SignalBuffer, codes: list[SpreadingCode],
         acquired = bool(snr_db >= cfg.snr_threshold_db)
         coarse_hz = float(freqs[bin_idx])
         fine_hz = math.nan
+        del row, replica_fft  # freed before fine frequency's peak
         if acquired and len(buf) >= round(f_s * cfg.fine_freq_ms * 1e-3):
             fine_hz = fine_frequency(buf, code, tau, coarse_hz, cfg)
-        results.append(AcquisitionResult(
+        return AcquisitionResult(
             prn_id=code.prn_id, acquired=acquired, code_phase_samples=tau,
             coarse_freq_hz=coarse_hz, fine_freq_hz=fine_hz,
             snr_db=float(snr_db), noise_lag_count=int(len(noise)),
-            correlation_surface=surface if cfg.keep_surface else None))
-    return results
+            correlation_surface=surface if cfg.keep_surface else None)
+    return pool_map(search, codes)
 
 
 def fine_frequency(buf: SignalBuffer, code: SpreadingCode, tau_samples: int,
@@ -188,10 +186,9 @@ def fine_frequency(buf: SignalBuffer, code: SpreadingCode, tau_samples: int,
                    cfg: AcquisitionConfig = AcquisitionConfig()) -> float:
     """Refine the Doppler shift from the spectrum of the code-wiped carrier.
 
-    Only the bins of the zero-padded _fft_len(4 n)-point DFT within
-    ±freq_step_hz of the coarse frequency are evaluated, as a two-stage DFT
-    over t = P b + r (P ≈ √n): a matrix product over r, then a sum over b
-    (the last, partial block as one vector-matrix product).
+    Only the bins of the zero-padded _fft_len(4 n)-point DFT within ±freq_step_hz of the
+    coarse frequency are evaluated, as a two-stage DFT over t = P b + r (P ≈ √n) on rows b
+    wiped a few at a time into one buffer: a matrix product over r, then a sum over b.
     """
     f_s = buf.sample_rate_hz
     n = round(f_s * cfg.fine_freq_ms * 1e-3)
@@ -199,12 +196,6 @@ def fine_frequency(buf: SignalBuffer, code: SpreadingCode, tau_samples: int,
         raise ValueError(f"buffer shorter than fine_freq_ms = {cfg.fine_freq_ms} ms")
     if not 0 <= tau_samples < len(buf):
         raise ValueError("tau_samples out of range")
-    period = _replica_period(code, f_s, n, tau_samples)
-    cut = n - n % len(period)
-    wiped = np.empty(n, dtype=np.complex128)
-    np.multiply(buf.samples[:cut].reshape(-1, len(period)), period,
-                out=wiped[:cut].reshape(-1, len(period)))  # one row per code period
-    np.multiply(buf.samples[cut:n], period[:n - cut], out=wiped[cut:])
     nfft = _fft_len(4 * n)
     spacing = 1.0 / (nfft * (1.0 / f_s))  # as np.fft.fftfreq computes it
     center = buf.if_offset_hz + coarse_hz
@@ -214,12 +205,22 @@ def fine_frequency(buf: SignalBuffer, code: SpreadingCode, tau_samples: int,
     if not len(k):
         raise ValueError(f"fine-frequency centre {center:.0f} Hz is past f_s/2 = {f_s / 2:.0f} Hz")
     p = math.isqrt(n)
-    whole = n - n % p
+    rows = n // p
+    chunks = -(-rows // max(BLOCK_SAMPLES // p, 4))  # even, >= 2 rows: 1 rounds as a vector
+    wiped = np.empty(-(-rows // chunks) * p, dtype=np.complex128)  # reused by every chunk
+    period = len(replica := _replica_period(code, f_s, n, tau_samples))
+    replica = np.concatenate((replica, np.resize(replica, len(wiped))))  # any chunk: a slice
     twiddles = _dft_rows(1, p, k, nfft)
     outer = _dft_rows(p, -(-n // p), k, nfft)
-    spectrum = np.sum((wiped[:whole].reshape(-1, p) @ twiddles) * outer[:whole // p], axis=0)
-    if whole < n:
-        spectrum += (wiped[whole:] @ twiddles[:n - whole]) * outer[-1]
+    def wipe(a: int, b: int) -> np.ndarray:  # samples a to b, the code wiped off
+        return np.multiply(buf.samples[a:b], replica[a % period:][:b - a], out=wiped[:b - a])
+    spectrum = -0j  # adds nothing, not even to a -0
+    for a, b in zip(edges := [rows * c // chunks for c in range(chunks + 1)], edges[1:]):
+        part = (wipe(a * p, b * p).reshape(-1, p) @ twiddles) * outer[a:b]
+        part[0] += spectrum  # rows summed in order, as one sum over every row adds them
+        spectrum = np.sum(part, axis=0)
+    if n % p:
+        spectrum += (wipe(rows * p, n) @ twiddles[:n % p]) * outer[-1]
     return float(k[np.argmax(np.abs(spectrum))] * spacing - buf.if_offset_hz)
 
 

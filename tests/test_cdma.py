@@ -355,12 +355,13 @@ class TestBlockRendering:
         cfg, channels, block = case
         blocks = -(-cfg.n_samples // block)
         cpus = range(blocks + 1 if workers == "more" else workers)
-        pool = mock.Mock(wraps=cdma.ThreadPoolExecutor)
+        pool = mock.Mock(wraps=dsp.ThreadPoolExecutor)
         with mock.patch.object(cdma, "BLOCK_SAMPLES", block), \
-                mock.patch.object(cdma.os, "sched_getaffinity", return_value=cpus), \
-                mock.patch.object(cdma, "ThreadPoolExecutor", pool):
+                mock.patch.object(dsp.os, "sched_getaffinity", return_value=cpus), \
+                mock.patch.object(dsp, "ThreadPoolExecutor", pool):
             got = cdma.synthesize(cfg, channels).samples
-        pool.assert_called_once_with(min(len(cpus), blocks))
+        # one pool of min(CPUs, blocks) workers; a scene of one block renders inline
+        assert pool.call_args_list == ([mock.call(min(len(cpus), blocks))] if blocks > 1 else [])
         want = reference_synthesize(cfg, channels)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -374,7 +375,7 @@ class TestBlockRendering:
                 raise RuntimeError("block 7 failed")
             return dsp._phasor(cycles, n, phase_rad, start)
         with mock.patch.object(cdma, "BLOCK_SAMPLES", block), \
-                mock.patch.object(cdma.os, "sched_getaffinity", return_value=range(3)), \
+                mock.patch.object(dsp.os, "sched_getaffinity", return_value=range(3)), \
                 mock.patch.object(cdma, "_phasor", phasor), \
                 pytest.raises(RuntimeError, match="block 7 failed"):
             cdma.synthesize(cfg, channels)

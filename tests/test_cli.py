@@ -8,11 +8,12 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from synthrf import cdma, channel, iqio, prn, prs, receiver
+from synthrf import cdma, channel, dsp, iqio, prn, prs, receiver
 from synthrf.cli import ConfigError, _build, build_parser, main
 from synthrf.dsp import SignalBuffer
 
@@ -329,6 +330,44 @@ class TestAcquireTrack:
                                      "coarse_freq_hz", "fine_freq_hz", "snr_db")] == \
                 [str(v) for v in (prn_id, int(res.acquired), res.code_phase_samples,
                                   res.coarse_freq_hz, res.fine_freq_hz, res.snr_db)]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, "more"])
+    def test_workers_change_no_output_bit(self, tmp_path, capsys, workers):
+        # 4 PRNs searched and 3 tracked (PRN 17 is absent) on 1, 2, 3 and more workers than
+        # items write the CSV and the lines of acquisition and tracking one item at a time
+        spec = dict(CHANNEL_SPEC, duration_s=0.012, sources=[
+            {"id": f"sat{i}", "kind": "satellite", "los": True,
+             "paths": [{"initial_delay_s": (10 + 3 * i) * 1e-6, "doppler_hz": 1500.0 * i - 2000.0}]}
+            for i in range(3)])
+        cfg = dict(CDMA_CONFIG, duration_s=0.012, noise_power_dbw=-10.0,
+                   sources=[{"prn_id": p, "source_id": f"sat{i}"} for i, p in enumerate((5, 9, 2))])
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        rec = str(tmp_path / "rec.iq")
+        assert main(["gen-channel", "--spec", str(tmp_path / "spec.json"),
+                     "--out", str(tmp_path / "ch.bin")]) == 0
+        assert main(["synthesize", "cdma", "--config", str(tmp_path / "cfg.json"),
+                     "--channel", str(tmp_path / "ch.bin"), "--out", rec]) == 0
+        argv = ["track", "--iq", rec, "--prn", "5,17,9,2", "--out"]
+
+        def one_at_a_time(fn, items):
+            return [fn(item) for item in items]
+        with mock.patch.object(dsp, "pool_map", one_at_a_time), \
+                mock.patch.object(receiver, "pool_map", one_at_a_time):
+            capsys.readouterr()
+            assert main(argv + [str(tmp_path / "want.csv")]) == 0
+            want = capsys.readouterr().out
+        cpus = range(5 if workers == "more" else workers)
+        pool = mock.Mock(wraps=dsp.ThreadPoolExecutor)
+        with mock.patch.object(dsp.os, "sched_getaffinity", return_value=cpus), \
+                mock.patch.object(dsp, "ThreadPoolExecutor", pool):
+            assert main(argv + [str(tmp_path / "got.csv")]) == 0
+        got = capsys.readouterr().out
+        # a pool for the 4 searches, then one for the 3 PRNs acquired, each capped at its items
+        assert pool.call_args_list == [mock.call(min(len(cpus), 4)), mock.call(min(len(cpus), 3))]
+        assert "PRN 17: not acquired" in got and len(re.findall(r"tracked \d+ epochs", got)) == 3
+        assert got == want.replace("want", "got")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     @pytest.mark.parametrize("command", ["acquire", "track"])
     @pytest.mark.parametrize("r_c_hz", ["abc", 0.0, -1.0, 1e9, 19.096e6 + 1.0, None, True,

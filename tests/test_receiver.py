@@ -4,14 +4,17 @@ synthesizer, the SNR gate, fine frequency, discriminators, and tracking."""
 import dataclasses
 import math
 import re
+import threading
+import tracemalloc
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.fft import next_fast_len
 
-from synthrf import cdma, prn, receiver
+from synthrf import cdma, dsp, prn, receiver
 from synthrf.channel import (ChannelSpec, generate_synthetic_channel,
                              propagate_and_sum)
 from synthrf.dsp import SignalBuffer, add_awgn
@@ -204,12 +207,20 @@ def _acquired(fine_freq_hz):
       for value in (0.0, -1.0, math.nan)],
     *[(lambda buf, value=value: AcquisitionConfig(snr_threshold_db=value),
        "snr_threshold_db must be finite") for value in (math.nan, math.inf, -math.inf)],
+    # NaN once passed the ordering check and failed in int(round(nan)) naming no field
+    *[(lambda buf, name=name, value=value: AcquisitionConfig(**{name: value}),
+       f"{name} must be finite")
+      for name in ("freq_search_min_hz", "freq_search_max_hz")
+      for value in (math.nan, math.inf, -math.inf)],
     *[(lambda buf, name=name: TrackingConfig(**{name: 0.0}), f"{name} must be positive")
       for name in ("dll_bw_hz", "pll_bw_hz", "integration_ms", "damping",
                    "correlator_spacing_chips")],
     (lambda buf: TrackingConfig(pll_bw_hz=-1.0), "pll_bw_hz must be positive"),
     (lambda buf: TrackingConfig(correlator_spacing_chips=1.5),
      "correlator_spacing_chips must not exceed one chip"),
+    *[(lambda buf, value=value: TrackingConfig(carrier_freq_hz=value),
+       "carrier_freq_hz must be positive and finite")
+      for value in (0.0, -1.0, math.nan, math.inf)],
     (lambda buf: fine_frequency(_first_ms(buf, 5), prn.generate_ca_code(7), 1000, 2500.0),
      "buffer shorter than fine_freq_ms = 10.0 ms"),
     (lambda buf: track(_first_ms(buf, 9), prn.generate_ca_code(7), _acquired(2500.0)),
@@ -433,6 +444,67 @@ def test_acquire_all_changes_no_output_bit(prns, noise_seed, rates):
                 (code.prn_id, field.name)
 
 
+class TestAcquisitionPool:
+    """acquire_all runs each code's search and fine frequency as one dsp.pool_map item."""
+
+    @staticmethod
+    def recording(noise_seed):
+        return add_awgn(SignalBuffer(clean_prns(F_S, 1.023e6), F_S, if_offset_hz=F_S / 4),
+                        10.0 * math.log10(F_S) - 55.0, noise_seed)
+
+    @settings(max_examples=10, deadline=None)
+    @given(prns=st.lists(st.one_of(st.sampled_from((2, 5, 11)), st.integers(1, 32)),
+                         min_size=2, max_size=5, unique=True),
+           noise_seed=st.integers(0, 2 ** 32 - 1), workers=st.sampled_from([1, 2, 3, "more"]))
+    def test_workers_change_no_output_bit(self, prns, noise_seed, workers):
+        # "more" asks for a worker beyond the code count; the pool is capped there
+        buf = self.recording(noise_seed)
+        cfg = AcquisitionConfig(keep_surface=True)
+        codes = [prn.generate_ca_code(p) for p in prns]
+        cpus = range(len(codes) + 1 if workers == "more" else workers)
+        pool = mock.Mock(wraps=dsp.ThreadPoolExecutor)
+        with mock.patch.object(dsp.os, "sched_getaffinity", return_value=cpus), \
+                mock.patch.object(dsp, "ThreadPoolExecutor", pool):
+            together = acquire_all(buf, codes, cfg)
+        pool.assert_called_once_with(min(len(cpus), len(codes)))
+        for code, res in zip(codes, together, strict=True):
+            alone = acquire(buf, code, cfg)  # one code: inline, no pool
+            for field in dataclasses.fields(AcquisitionResult):
+                assert same_bits(getattr(res, field.name), getattr(alone, field.name)), \
+                    (code.prn_id, field.name)
+
+    def test_a_failing_search_leaves_acquire_all_and_no_worker(self, monkeypatch):
+        workers = set()
+        replica = receiver.sample_code_replica
+
+        def failing(code, *args):
+            workers.add(threading.current_thread())
+            if code.prn_id == 11:
+                raise RuntimeError("PRN 11 failed")
+            return replica(code, *args)
+        monkeypatch.setattr(receiver, "sample_code_replica", failing)
+        monkeypatch.setattr(dsp.os, "sched_getaffinity", lambda pid: range(3))
+        with pytest.raises(RuntimeError, match="PRN 11 failed"):
+            acquire_all(self.recording(1), [prn.generate_ca_code(p) for p in (2, 5, 11, 23, 29)])
+        assert workers and threading.main_thread() not in workers
+        assert not any(t.is_alive() for t in workers)
+
+    def test_one_code_starts_no_pool(self, monkeypatch):
+        threads = set()
+        fine = receiver.fine_frequency
+
+        def recording_fine(*args):
+            threads.add(threading.current_thread())
+            return fine(*args)
+        pool = mock.Mock(wraps=dsp.ThreadPoolExecutor)
+        monkeypatch.setattr(dsp, "ThreadPoolExecutor", pool)
+        monkeypatch.setattr(receiver, "fine_frequency", recording_fine)
+        res = acquire(self.recording(1), prn.generate_ca_code(5))
+        assert res.acquired and math.isfinite(res.fine_freq_hz)
+        pool.assert_not_called()
+        assert threads == {threading.main_thread()}
+
+
 class TestMainLobeSearch:
     """Picking the bin on the main-lobe surface and the lag on one full-rate
     row decides as the full-rate search does."""
@@ -546,6 +618,49 @@ class TestPeriodReplicaFineFrequency:
                     assert fine_frequency(buf, code, tau, coarse_hz) == \
                         padded_two_stage_fine_frequency(buf, code, tau, coarse_hz), \
                         (prn_id, tau, coarse_hz)
+
+
+class TestChunkedFineFrequency:
+    """fine_frequency wipes the code off a chunk of rows at a time into one reused buffer."""
+
+    def test_peak_allocation_at_38_mhz(self):
+        # the design's peak: the twiddle and outer tables, 2 x 640 x 41 complex (0.8 MiB),
+        # the chunk buffer of BLOCK_SAMPLES (0.25 MiB), the replica period with a chunk's
+        # length more (0.4 MiB) and the transients that build it; a whole-window wipe, as
+        # before chunking, takes 6.1 MB alone (a 7.3 MiB peak)
+        buf, code = tone_buffer(F_S, 9.548e6, 1500.0, 700, 0.01)
+        fine_frequency(buf, code, 700, 1500.0)  # _fft_len's cache filled first
+        tracemalloc.start()
+        try:
+            fine_frequency(buf, code, 700, 1500.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 2 ** 20
+
+    def test_a_one_row_tail_matches_the_references(self, monkeypatch):
+        # 16.1 ms at 4.092 MHz: 257 rows of 256 samples, and a chunk of BLOCK_SAMPLES holds
+        # 64 of them, so whole chunks would leave a 1-row chunk, which numpy multiplies as a
+        # vector and rounds differently; the band's magnitudes must match the full FFT's
+        f_s, tau = 4.092e6, 1500
+        cfg = AcquisitionConfig(fine_freq_ms=16.1)
+        n = round(f_s * cfg.fine_freq_ms * 1e-3)
+        p = math.isqrt(n)
+        assert (n // p, dsp.BLOCK_SAMPLES // p) == (257, 64)
+        buf, code = tone_buffer(f_s, 1.1e6, 1234.5, tau, 0.017)
+        nfft = next_fast_len(4 * n)
+        full = np.abs(np.fft.fft(buf.samples[:n] * per_sample_replica(code, f_s, n, tau), nfft))
+        freqs = np.fft.fftfreq(nfft, 1.0 / f_s)
+        seen = []
+        argmax = np.argmax
+        monkeypatch.setattr(np, "argmax", lambda a: seen.append(np.array(a)) or argmax(a))
+        for coarse_hz in (1000.0, 1234.5, 1500.0):
+            f = fine_frequency(buf, code, tau, coarse_hz, cfg)
+            band = np.flatnonzero(np.abs(freqs - (1.1e6 + coarse_hz)) <= cfg.freq_step_hz)
+            want = full[band[np.argsort(freqs[band])]]
+            assert np.max(np.abs(seen[-1] - want)) <= 1e-9 * np.max(want)
+            assert f == full_fft_fine_frequency(buf, code, tau, coarse_hz, cfg) == \
+                padded_two_stage_fine_frequency(buf, code, tau, coarse_hz, cfg)
 
 
 class TestDiscriminators:
