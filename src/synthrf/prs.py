@@ -79,6 +79,11 @@ class CarrierConfig:
     def slot_duration_s(self) -> float:
         return self.samples_per_slot / self.sample_rate_hz
 
+    @property
+    def slots_per_frame(self) -> int:
+        # a 10 ms frame holds 10·2^μ slots, SCS = 15·2^μ kHz (TS 38.211 4.3.2)
+        return round(10 * self.scs_hz / 15e3)
+
 
 @dataclass(frozen=True)
 class PrsResourceConfig:
@@ -172,7 +177,8 @@ def is_prs_slot(prs: PrsResourceConfig, slot_index: int) -> bool:
 
 def generate_prs_symbols(carrier: CarrierConfig, prs: PrsResourceConfig,
                          slot_index: int) -> ResourceGrid:
-    """PRS QPSK symbols mapped onto the comb pattern for one slot."""
+    """PRS QPSK symbols mapped onto the comb pattern for one slot of the scene: its period,
+    offset and muting count scene slots, its scrambling the slot within the frame."""
     if slot_index < 0:
         raise ValueError("slot_index must be non-negative")
     if prs.n_rb_prs > carrier.n_rb:
@@ -181,9 +187,10 @@ def generate_prs_symbols(carrier: CarrierConfig, prs: PrsResourceConfig,
     if not is_prs_slot(prs, slot_index):
         return grid
     n_sc_prs, comb = 12 * prs.n_rb_prs, prs.comb_size
+    slot_in_frame = slot_index % carrier.slots_per_frame  # c_init's slot (TS 38.211 7.4.1.7)
     for j in range(prs.num_symbols):
         l = prs.symbol_start + j
-        c = _prbs(_prs_c_init(prs.n_prs_id, slot_index, l), 2 * n_sc_prs // comb)
+        c = _prbs(_prs_c_init(prs.n_prs_id, slot_in_frame, l), 2 * n_sc_prs // comb)
         first = (prs.comb_offset + _COMB_OFFSETS[comb][j % 12]) % comb
         grid.cells[first:n_sc_prs:comb, l] = _QPSK[2 * c[0::2] + c[1::2]]
     return grid

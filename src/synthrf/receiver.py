@@ -1,6 +1,6 @@
 """Software receiver: parallel code phase search acquisition on shared wiped-off spectra and
-the code's main lobe, fine frequency estimation on its search band's DFT bins, and DLL/PLL
-tracking on one segmented sum per epoch; codes and PRNs run as items of dsp.pool_map."""
+the code's main lobe, fine frequency as the argmax of its band's DFT over zero-padded rows,
+and DLL/PLL tracking on one segmented sum per epoch; codes and PRNs run on dsp.pool_map."""
 
 from __future__ import annotations
 
@@ -137,6 +137,8 @@ def acquire_all(buf: SignalBuffer, codes: list[SpreadingCode],
     """
     f_s = buf.sample_rate_hz
     n = round(f_s * cfg.coherent_ms * 1e-3)
+    if n < 1:
+        raise ValueError(f"coherent_ms = {cfg.coherent_ms:g} ms is under one sample at {f_s:g} Hz")
     if len(buf) < n:
         raise ValueError("buffer shorter than the coherent integration length")
     seg = buf.samples[:n]
@@ -184,11 +186,11 @@ def acquire_all(buf: SignalBuffer, codes: list[SpreadingCode],
 def fine_frequency(buf: SignalBuffer, code: SpreadingCode, tau_samples: int,
                    coarse_hz: float,
                    cfg: AcquisitionConfig = AcquisitionConfig()) -> float:
-    """Refine the Doppler shift from the spectrum of the code-wiped carrier.
+    """Refine the Doppler shift to the argmax of the code-wiped carrier's spectrum.
 
     Only the bins of the zero-padded _fft_len(4 n)-point DFT within ±freq_step_hz of the
-    coarse frequency are evaluated, as a two-stage DFT over t = P b + r (P ≈ √n) on rows b
-    wiped a few at a time into one buffer: a matrix product over r, then a sum over b.
+    coarse frequency are evaluated, as a two-stage DFT over t = P b + r (P ≈ √n): rows b,
+    the last zero-padded, wiped a chunk at a time into one buffer, a product over r, a sum over b.
     """
     f_s = buf.sample_rate_hz
     n = round(f_s * cfg.fine_freq_ms * 1e-3)
@@ -202,25 +204,25 @@ def fine_frequency(buf: SignalBuffer, code: SpreadingCode, tau_samples: int,
     k = np.arange(max(math.floor((center - cfg.freq_step_hz) / spacing) - 1, -(nfft // 2)),
                   min(math.ceil((center + cfg.freq_step_hz) / spacing) + 1, (nfft - 1) // 2) + 1)
     k = k[np.abs(k * spacing - center) <= cfg.freq_step_hz]
+    if not len(k) and spacing > 2 * cfg.freq_step_hz and abs(center) < f_s / 2:
+        raise ValueError(f"fine_freq_ms = {cfg.fine_freq_ms:g} ms gives {spacing:.0f} Hz bins, "
+                         f"too wide for the ±freq_step_hz = {cfg.freq_step_hz:g} Hz band")
     if not len(k):
         raise ValueError(f"fine-frequency centre {center:.0f} Hz is past f_s/2 = {f_s / 2:.0f} Hz")
     p = math.isqrt(n)
-    rows = n // p
-    chunks = -(-rows // max(BLOCK_SAMPLES // p, 4))  # even, >= 2 rows: 1 rounds as a vector
-    wiped = np.empty(-(-rows // chunks) * p, dtype=np.complex128)  # reused by every chunk
+    rows = -(-n // p)  # the last zero-padded to p samples
+    wiped = np.empty(min(rows, max(BLOCK_SAMPLES // p, 1)) * p, dtype=np.complex128)  # reused
     period = len(replica := _replica_period(code, f_s, n, tau_samples))
     replica = np.concatenate((replica, np.resize(replica, len(wiped))))  # any chunk: a slice
     twiddles = _dft_rows(1, p, k, nfft)
-    outer = _dft_rows(p, -(-n // p), k, nfft)
-    def wipe(a: int, b: int) -> np.ndarray:  # samples a to b, the code wiped off
-        return np.multiply(buf.samples[a:b], replica[a % period:][:b - a], out=wiped[:b - a])
-    spectrum = -0j  # adds nothing, not even to a -0
-    for a, b in zip(edges := [rows * c // chunks for c in range(chunks + 1)], edges[1:]):
-        part = (wipe(a * p, b * p).reshape(-1, p) @ twiddles) * outer[a:b]
-        part[0] += spectrum  # rows summed in order, as one sum over every row adds them
-        spectrum = np.sum(part, axis=0)
-    if n % p:
-        spectrum += (wipe(rows * p, n) @ twiddles[:n % p]) * outer[-1]
+    outer = _dft_rows(p, rows, k, nfft)
+    spectrum = 0
+    for a in range(0, n, len(wiped)):  # the rows from sample a, the code wiped off, 0 past n
+        m = min(n - a, len(wiped))
+        np.multiply(buf.samples[a:a + m], replica[a % period:][:m], out=wiped[:m])
+        wiped[m:] = 0
+        part = wiped[:-(-m // p) * p].reshape(-1, p) @ twiddles
+        spectrum += np.sum(part * outer[a // p:][:len(part)], axis=0)
     return float(k[np.argmax(np.abs(spectrum))] * spacing - buf.if_offset_hz)
 
 
@@ -299,7 +301,9 @@ def track(buf: SignalBuffer, code: SpreadingCode, init: AcquisitionResult,
         raise ValueError("fine_freq_hz must be finite; acquire sets it from fine_freq_ms of signal")
     carr_freq = carr_freq_basis = buf.if_offset_hz + init.fine_freq_hz
     code_freq = r_c
-    chips_per_epoch = round(r_c * pdi)
+    if (chips_per_epoch := round(r_c * pdi)) < 1:
+        raise ValueError(f"integration_ms = {cfg.integration_ms:g} ms is under one chip at "
+                         f"{r_c:g} chips/s")
     nominal_epoch_samples = chips_per_epoch * f_s / r_c
 
     tau1_code, tau2_code = _loop_gains(cfg.dll_bw_hz, cfg.damping, 1.0)

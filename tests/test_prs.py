@@ -171,6 +171,30 @@ class TestPrsMapping:
         b = generate_prs_symbols(carrier, PrsResourceConfig(n_prs_id=2), 0)
         assert not np.array_equal(a.cells, b.cells)
 
+    def test_each_frame_repeats_the_first_frames_cells(self):
+        # c_init takes the slot within the 10 ms frame (TS 38.211 7.4.1.7), so slots 10 and
+        # 20 are scrambled as slot 0 is (c_init 21,514), not with 3,032,074 and 6,042,634
+        carrier, cfg = CarrierConfig(), PrsResourceConfig(n_prs_id=10)
+        assert carrier.slots_per_frame == 10
+        first = generate_prs_symbols(carrier, cfg, 0).cells
+        for slot in (10, 20):
+            np.testing.assert_array_equal(generate_prs_symbols(carrier, cfg, slot).cells, first)
+
+    @pytest.mark.parametrize("slot", [0, 3, 10, 23, 47])
+    def test_cells_follow_c_init_of_the_slot_within_the_frame(self, slot):
+        # TS 38.211 7.4.1.7: c_init = (2^22 floor(n_ID / 1024) + 2^10 (14 n_sf + l + 1)
+        # (2 (n_ID mod 1024) + 1) + (n_ID mod 1024)) mod 2^31, n_sf = slot mod 10 at 15 kHz
+        n_id, n_sc = 1030, 12 * 52
+        cfg = PrsResourceConfig(resource_set_period_slots=1, n_prs_id=n_id, symbol_start=3,
+                                num_symbols=3)
+        cells = generate_prs_symbols(CarrierConfig(), cfg, slot).cells
+        for l in (3, 4, 5):
+            c_init = (2 ** 22 * (n_id // 1024) + 2 ** 10 * (14 * (slot % 10) + l + 1)
+                      * (2 * (n_id % 1024) + 1) + n_id % 1024) % 2 ** 31
+            c = reference_prbs(c_init, n_sc).astype(int)
+            want = ((1 - 2 * c[0::2]) + 1j * (1 - 2 * c[1::2])) / np.sqrt(2)
+            np.testing.assert_allclose(cells[cells[:, l] != 0, l], want, rtol=0, atol=1e-15)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PrsResourceConfig(comb_size=5)

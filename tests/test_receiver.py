@@ -230,6 +230,16 @@ def _acquired(fine_freq_hz):
      "buffer shorter than 10 integration periods"),
     (lambda buf: track(buf, prn.generate_ca_code(7), _acquired(math.nan)),
      "fine_freq_hz must be finite"),
+    # windows of no sample, of no chip and with bins wider than the band, each named
+    (lambda buf: acquire(*tone_buffer(4.092e6, 1e6, 0.0, 0, 0.002),
+                         AcquisitionConfig(coherent_ms=1e-5)),
+     "coherent_ms = 1e-05 ms is under one sample at 4.092e+06 Hz"),
+    (lambda buf: track(*tone_buffer(4.092e6, 1e6, 0.0, 0, 0.002), _acquired(0.0),
+                       TrackingConfig(integration_ms=4e-4)),
+     "integration_ms = 0.0004 ms is under one chip at 1.023e+06 chips/s"),
+    (lambda buf: fine_frequency(*tone_buffer(4.092e6, 1e6, 0.0, 0, 0.002), 0, 0.0,
+                                AcquisitionConfig(coherent_ms=0.1, fine_freq_ms=0.1)),
+     "fine_freq_ms = 0.1 ms gives 2480 Hz bins, too wide for the ±freq_step_hz = 500 Hz band"),
     # acquired, but the 12 ms recording is shorter than a 20 ms fine-frequency window
     (lambda buf: track(buf, prn.generate_ca_code(7), acquire(
         buf, prn.generate_ca_code(7), AcquisitionConfig(fine_freq_ms=20.0))),
@@ -639,9 +649,9 @@ class TestChunkedFineFrequency:
         assert peak <= 2.5 * 2 ** 20
 
     def test_a_one_row_tail_matches_the_references(self, monkeypatch):
-        # 16.1 ms at 4.092 MHz: 257 rows of 256 samples, and a chunk of BLOCK_SAMPLES holds
-        # 64 of them, so whole chunks would leave a 1-row chunk, which numpy multiplies as a
-        # vector and rounds differently; the band's magnitudes must match the full FFT's
+        # 16.1 ms at 4.092 MHz: 257 whole rows of 256 samples and one zero-padded, and a
+        # chunk of BLOCK_SAMPLES holds 64 of them, so the last chunk holds 2 rows; the
+        # band's magnitudes must match the full FFT's
         f_s, tau = 4.092e6, 1500
         cfg = AcquisitionConfig(fine_freq_ms=16.1)
         n = round(f_s * cfg.fine_freq_ms * 1e-3)
@@ -661,6 +671,31 @@ class TestChunkedFineFrequency:
             assert np.max(np.abs(seen[-1] - want)) <= 1e-9 * np.max(want)
             assert f == full_fft_fine_frequency(buf, code, tau, coarse_hz, cfg) == \
                 padded_two_stage_fine_frequency(buf, code, tau, coarse_hz, cfg)
+
+    @pytest.mark.parametrize("f_s", [F_S, 4.092e6])
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_any_chunk_size_returns_the_same_frequency(self, monkeypatch, f_s, padded):
+        # chunks of 1 row, of 2 rows and one chunk for the whole window: only the order of
+        # the band's sums differs, and only its argmax is returned
+        p = math.isqrt(round(f_s * 0.01))
+        n = p * (p + 1) + 3 * padded  # 3 samples in a zero-padded last row, else whole rows
+        cfg = AcquisitionConfig(fine_freq_ms=n / f_s * 1e3)
+        assert (round(f_s * cfg.fine_freq_ms * 1e-3), math.isqrt(n)) == (n, p)
+        buf, code = tone_buffer(f_s, f_s / 4, 1234.5, 700, 0.011)
+        nfft = next_fast_len(4 * n)
+        full = np.abs(np.fft.fft(buf.samples[:n] * per_sample_replica(code, f_s, n, 700), nfft))
+        freqs = np.fft.fftfreq(nfft, 1.0 / f_s)
+        seen = []
+        argmax = np.argmax
+        monkeypatch.setattr(np, "argmax", lambda a: seen.append(np.array(a)) or argmax(a))
+        for coarse_hz in (1000.0, 1500.0):
+            band = np.flatnonzero(np.abs(freqs - (f_s / 4 + coarse_hz)) <= cfg.freq_step_hz)
+            want = full[band[np.argsort(freqs[band])]]
+            f = padded_two_stage_fine_frequency(buf, code, 700, coarse_hz, cfg)
+            for block in (p, 2 * p, n + p, dsp.BLOCK_SAMPLES):
+                with mock.patch.object(receiver, "BLOCK_SAMPLES", block):
+                    assert fine_frequency(buf, code, 700, coarse_hz, cfg) == f, block
+                assert np.max(np.abs(seen[-1] - want)) <= 1e-9 * np.max(want), block
 
 
 class TestDiscriminators:
