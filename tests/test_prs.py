@@ -14,9 +14,9 @@ from conftest import los_source
 
 from synthrf import prs
 from synthrf.channel import (ChannelSet, ChannelSpec, PathSeries, PathSpec, SourceChannel,
-                             SourceSpec, earliest_delay_s, generate_synthetic_channel,
-                             propagate_and_sum)
-from synthrf.dsp import SignalBuffer, add_awgn, fft_correlate
+                             SourceSpec, _interp, _time_axes, earliest_delay_s,
+                             generate_synthetic_channel, propagate_and_sum)
+from synthrf.dsp import SignalBuffer, _add_noise, add_awgn, fft_correlate
 from synthrf.prs import (CarrierConfig, PrsResourceConfig, ResourceGrid,
                          generate_pdsch_filler, generate_prs_symbols,
                          gnb_clean_waveform, is_prs_slot, ofdm_demodulate,
@@ -523,6 +523,94 @@ class TestSynthesizeGnb:
             tracemalloc.stop()
         assert len(buf) == 460800
         assert peak / len(buf) <= 32.0
+
+
+# --- the per-path renderer the batched slot loop replaced, kept as an oracle --
+
+def per_path_synthesize_gnb(carrier, prs_configs, channels, duration_s, seed, with_pdsch,
+                            noise_power_dbw, noise_seed):
+    """synthesize_gnb's slot loop with a ramp, a scatter and an IFFT for each slot of each
+    path, and window bounds clipped as arrays."""
+    n_slots = round(duration_s / carrier.slot_duration_s)
+    d_min_s = earliest_delay_s(channels, prs_configs)
+    f_s, n_fft, n_sc = carrier.sample_rate_hz, carrier.n_fft, carrier.n_subcarriers
+    n_sym, total = prs.SYMBOLS_PER_SLOT, np.zeros(n_slots * carrier.samples_per_slot, complex)
+    start = prs._slot_table(carrier)[2]
+    sym_start = np.append(start[-1] * np.arange(n_slots)[:, None] + start[:-1], len(total))
+    k = np.arange(n_sc) - n_sc // 2
+    bins = k % n_fft
+    frames = np.zeros((n_sym, n_fft), dtype=np.complex128)
+    for sid in sorted(prs_configs):
+        paths = channels.source(sid).paths
+        t_snaps = [_time_axes(p, channels.update_rate_hz, f_s, len(total)) for p in paths]
+        tau = (np.array([_interp(sym_start / f_s, t, p.delays_s) for p, t in zip(paths, t_snaps)])
+               - d_min_s) * f_s
+        whole = np.ceil(tau).astype(np.int64)
+        for s in range(n_slots):
+            cells = prs._slot_grid(carrier, prs_configs[sid], s, seed, with_pdsch).cells.T
+            a, b = n_sym * s, n_sym * (s + 1)
+            for path, t_snap, w, frac in zip(paths, t_snaps, whole, tau - whole):
+                first = sym_start[a] + w[a]
+                lo, hi = np.clip([first, sym_start[b] + w[b]], 0, len(total))
+                if lo == hi:
+                    continue
+                f = -2j * np.pi / n_fft * frac[a:b, None]
+                ramp = (np.exp(f * k[::32])[:, :, None] * np.exp(f * np.arange(32))[:, None])
+                frames[:, bins] = cells * ramp.reshape(n_sym, -1)[:, :n_sc]
+                bodies = np.fft.ifft(frames) * n_fft
+                src = prs._slot_table(carrier, tuple(w[a:b + 1] - w[a]))[0]
+                coeff = _interp(np.arange(lo, hi) / f_s, t_snap, path.coefficients)
+                coeff *= bodies.ravel()[src[lo - first:hi - first]]
+                total[lo:hi] += coeff
+    _add_noise(total, noise_power_dbw, noise_seed)
+    return total
+
+
+@st.composite
+def renderer_cases(draw):
+    """A carrier at n_fft 89 or 101 (where the IFFT of zeros holds -0), 1024 or 1536, and
+    1-3 slots of 1-3 gNBs of 1-3 paths.  Delays walk by up to 3 samples a snapshot (8 a
+    slot), across whole samples and below D_min; echoes lag by up to 1.5 slots, so they
+    spill past a slot's end; a path may start past the scene's end."""
+    n_fft = draw(st.sampled_from([89, 101, 1024, 1536]))
+    carrier = CarrierConfig(n_cell_id=draw(st.integers(0, 1007)),
+                            n_rb=draw(st.integers(1, min(52, n_fft // 12))), n_fft=n_fft)
+    n_slots, sps, f_s = draw(st.integers(1, 3)), carrier.samples_per_slot, carrier.sample_rate_hz
+    n_snap = 8 * n_slots + 1
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sources, resources = [], {}
+    for g in range(draw(st.integers(1, 3))):
+        lags = [0.0] + [rng.uniform(0, 1.5 * sps) for _ in range(draw(st.integers(0, 2)))]
+        if draw(st.booleans()):
+            lags.append(n_slots * sps + rng.uniform(0, 100))  # past the scene's end
+        first = rng.uniform(80, 300)  # the walk falls by 75 samples at most
+        paths = [PathSeries(rng.standard_normal(n_snap) + 1j * rng.standard_normal(n_snap),
+                            (first + lag + np.cumsum(rng.uniform(-3, 3, n_snap))) / f_s)
+                 for lag in lags]
+        paths[1:] = [PathSeries(p.coefficients, np.maximum(p.delays_s, paths[0].delays_s[0]))
+                     for p in paths[1:]]  # path 0 arrives first at snapshot 0
+        sources.append(SourceChannel(f"g{g}", "gnb", True, paths))
+        comb = draw(st.sampled_from([2, 4, 6, 12]))
+        num_symbols = draw(st.integers(1, 14))
+        period = draw(st.integers(1, 4))
+        resources[f"g{g}"] = PrsResourceConfig(
+            resource_set_period_slots=period,
+            resource_offset_slots=draw(st.integers(0, period - 1)),
+            comb_size=comb, comb_offset=draw(st.integers(0, comb - 1)),
+            num_symbols=num_symbols, symbol_start=draw(st.integers(0, 14 - num_symbols)),
+            n_prs_id=draw(st.integers(0, 4095)), n_rb_prs=draw(st.integers(1, carrier.n_rb)))
+    channels = ChannelSet(sources, 8e3)
+    return (carrier, resources, channels, n_slots * carrier.slot_duration_s,
+            draw(st.integers(0, 2 ** 32)), draw(st.booleans()),
+            draw(st.sampled_from([-np.inf, -20.0])), draw(st.integers(0, 2 ** 32)))
+
+
+class TestRendererMatchesPerPathLoop:
+    @settings(max_examples=100, deadline=None)
+    @given(case=renderer_cases())
+    def test_renderer_changes_no_output_bit(self, case):
+        got = synthesize_gnb(*case).samples
+        assert got.tobytes() == per_path_synthesize_gnb(*case).tobytes()
 
 
 # --- the per-symbol modem the slot table replaced, kept as an oracle ---------
