@@ -121,13 +121,20 @@ def _ground_truth(channels: channel.ChannelSet, source_ids) -> list[dict]:
     return truth
 
 
+def _held(channels: channel.ChannelSet, kind: str, i: int, source_id) -> str:
+    if (sid := str(source_id)) not in (held := [src.source_id for src in channels.sources]):
+        raise ConfigError(f"{kind} config source[{i}]: source_id {sid!r} is not in the channel "
+                          f"file, which holds {', '.join(map(repr, held))}")
+    return sid
+
+
 def cmd_synthesize(args) -> int:
     cfg = _load_json(args.config)
     channels = channel.load_channel(args.channel)
     if args.kind == "cdma":
         sources, fields = _build(lambda sources, **fields: (sources, fields), cfg, "cdma config")
         gen = _build(cdma.CdmaGenConfig, fields, "cdma config", modulate_data=True, sources=tuple(
-            _build(lambda prn_id, source_id: (int(prn_id), str(source_id)),
+            _build(lambda prn_id, source_id: (int(prn_id), _held(channels, "cdma", i, source_id)),
                    s, f"cdma config source[{i}]") for i, s in enumerate(sources)))
         buf = cdma.synthesize(gen, channels)
         truth = _ground_truth(channels, [sid for _, sid in gen.sources])
@@ -143,7 +150,8 @@ def cmd_synthesize(args) -> int:
         resources = {}
         for i, src in enumerate(sources):
             where = f"prs config source[{i}]"
-            sid, res = _build(lambda source_id, **res: (str(source_id), res), src, where)
+            sid, res = _build(lambda source_id, **res: (_held(channels, "prs", i, source_id), res),
+                              src, where)
             if sid in resources:
                 raise ConfigError(f"{where}: source_id {sid!r} is already listed")
             resources[sid] = _build(prs.PrsResourceConfig, {"n_rb_prs": carrier.n_rb, **res}, where)
@@ -164,7 +172,7 @@ def cmd_spectrum(args) -> int:
     try:
         src = channels.source(args.source)
     except KeyError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(exc.args[0]) from exc
     result = channel.doppler_spectrum(src, channels.update_rate_hz, nfft=args.nfft)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -102,8 +102,8 @@ class PrsResourceConfig:
     def __post_init__(self):
         if self.muting_pattern is not None:
             object.__setattr__(self, "muting_pattern", tuple(self.muting_pattern))
-            if not all(m in (0, 1) for m in self.muting_pattern):
-                raise ValueError("muting_pattern entries must be 0 or 1")
+            if not self.muting_pattern or not all(m in (0, 1) for m in self.muting_pattern):
+                raise ValueError("muting_pattern entries must be 0 or 1, and one or more")
         if self.comb_size not in _COMB_OFFSETS:
             raise ValueError("comb_size must be one of 2, 4, 6, 12")
         if not 0 <= self.comb_offset < self.comb_size:
@@ -223,9 +223,14 @@ def _slot_table(carrier: CarrierConfig, shift=(0,) * (SYMBOLS_PER_SLOT + 1)):
     return source, position, start  # cached, so shared by every caller
 
 
-def _bodies(frames: np.ndarray, cells: np.ndarray, carrier: CarrierConfig) -> np.ndarray:
-    """A slot's 14 IFFT bodies times n_fft: cells (14, n_sc) centred on DC, 0 elsewhere."""
-    frames[:, (np.arange(cells.shape[1]) - cells.shape[1] // 2) % carrier.n_fft] = cells
+def _bodies(frames, cells, carrier: CarrierConfig, ramp=None) -> np.ndarray:
+    """A slot's 14 IFFT bodies times n_fft: cells (14, n_sc), times any ramp, on DC; 0 elsewhere."""
+    half = cells.shape[1] // 2
+    for cut, bins in (np.s_[:half], np.s_[-half:]), (np.s_[half:], np.s_[:cells.shape[1] - half]):
+        if ramp is None:
+            frames[..., bins] = cells[:, cut]
+        else:
+            np.multiply(cells[:, cut], ramp[..., cut], out=frames[..., bins])
     return np.fft.ifft(frames) * carrier.n_fft
 
 
@@ -291,8 +296,7 @@ def synthesize_gnb(carrier: CarrierConfig, prs_configs: dict[str, PrsResourceCon
     n_sym, total = SYMBOLS_PER_SLOT, np.zeros(n_slots * carrier.samples_per_slot, np.complex128)
     start = _slot_table(carrier)[2]  # S_l of every symbol in the scene, then the scene's end
     sym_start = np.append(start[-1] * np.arange(n_slots)[:, None] + start[:-1], len(total))
-    k = np.arange(n_sc) - n_sc // 2  # signed subcarrier index
-    frames = np.zeros((n_sym, n_fft), dtype=np.complex128)
+    k, sps = np.arange(n_sc) - n_sc // 2, carrier.samples_per_slot  # signed subcarrier index
     for sid in sorted(prs_configs):  # fixed order for bit-reproducibility
         paths = channels.source(sid).paths
         t_snaps = [_time_axes(p, channels.update_rate_hz, f_s, len(total)) for p in paths]
@@ -301,20 +305,21 @@ def synthesize_gnb(carrier: CarrierConfig, prs_configs: dict[str, PrsResourceCon
         whole = np.ceil(tau).astype(np.int64)
         if (bad := np.flatnonzero(np.diff(sym_start + whole).min(axis=1) < 0)).size:
             raise ValueError(f"source {sid} path {bad[0]}: delay falls by more than a symbol")
+        frac, frames = tau - whole, np.zeros((len(paths), n_sym, n_fft), dtype=np.complex128)
         for s in range(n_slots):
-            cells = _slot_grid(carrier, prs_configs[sid], s, seed, with_pdsch).cells.T
             a, b = n_sym * s, n_sym * (s + 1)
-            for path, t_snap, w, frac in zip(paths, t_snaps, whole, tau - whole):
-                first = sym_start[a] + w[a]
-                lo, hi = np.clip([first, sym_start[b] + w[b]], 0, len(total))
-                if lo == hi:
+            f = -2j * np.pi / n_fft * frac[:, a:b, None]  # every path's ramp: two outer products
+            ramp = np.exp(f * k[::32])[..., None] * np.exp(f * np.arange(32))[:, :, None]
+            cells = _slot_grid(carrier, prs_configs[sid], s, seed, with_pdsch).cells.T
+            bodies = _bodies(frames, cells, carrier, ramp.reshape(*f.shape[:2], -1)[..., :n_sc])
+            for path, t_snap, body, w in zip(paths, t_snaps, bodies, whole[:, a:b + 1].tolist()):
+                # lo >= 0: tau starts at D - D_min >= 0, and S_l + w_l never falls
+                lo, hi = sps * s + w[0], min(sps * (s + 1) + w[-1], len(total))
+                if lo >= hi:
                     continue  # delayed past the scene's end
-                f = -2j * np.pi / n_fft * frac[a:b, None]  # the ramp: two short outer products
-                ramp = (np.exp(f * k[::32])[:, :, None] * np.exp(f * np.arange(32))[:, None])
-                bodies = _bodies(frames, cells * ramp.reshape(n_sym, -1)[:, :n_sc], carrier)
-                src = _slot_table(carrier, tuple(w[a:b + 1] - w[a]))[0]
+                src = _slot_table(carrier, tuple(i - w[0] for i in w))[0]
                 coeff = _interp(np.arange(lo, hi) / f_s, t_snap, path.coefficients)
-                coeff *= bodies.ravel()[src[lo - first:hi - first]]
+                coeff *= body.ravel()[src[:hi - lo]]
                 total[lo:hi] += coeff
     _add_noise(total, noise_power_dbw, noise_seed)
     return SignalBuffer(total, f_s)

@@ -213,13 +213,22 @@ class TestSynthesize:
                 in capsys.readouterr().err)
         assert not out.exists()
 
-    def test_unknown_channel_source_fails(self, workdir, tmp_path):
-        cfg = dict(CDMA_CONFIG, sources=[{"prn_id": 5, "source_id": "ghost"}])
-        path = tmp_path / "bad.json"
+    @pytest.mark.parametrize("kind,cfg", [
+        ("cdma", dict(CDMA_CONFIG, sources=[CDMA_CONFIG["sources"][0],
+                                            {"prn_id": 7, "source_id": "ghost"}])),
+        ("prs", dict(PRS_CONFIG, sources=[PRS_CONFIG["sources"][0],
+                                          {"source_id": "ghost", "n_prs_id": 20}])),
+    ])
+    def test_a_config_source_missing_from_the_channel_file_is_usage_error(
+            self, workdir, tmp_path, capsys, kind, cfg):
+        path, out = tmp_path / "bad.json", tmp_path / "x.iq"
         path.write_text(json.dumps(cfg))
-        assert main(["synthesize", "cdma", "--config", str(path),
-                     "--channel", str(workdir / "channels.chn"),
-                     "--out", str(tmp_path / "x.iq")]) == 1
+        assert main(["synthesize", kind, "--config", str(path),
+                     "--channel", str(workdir / "channels.chn"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {kind} config source[1]: source_id 'ghost' is not in the channel file, "
+            "which holds 'sat1', 'sat2'\n")
+        assert not out.exists()
 
     def test_unknown_kind_is_usage_error(self, workdir, tmp_path):
         assert main(["synthesize", "fsk", "--config", str(workdir / "cdma_config.json"),
@@ -247,9 +256,10 @@ class TestSpectrum:
         power = np.array([float(r["power_db"]) for r in rows])
         assert abs(freqs[np.argmax(power)] - 2500.0) <= 40e3 / 256
 
-    def test_unknown_source_is_usage_error(self, workdir, tmp_path):
+    def test_unknown_source_is_usage_error(self, workdir, tmp_path, capsys):
         assert main(["spectrum", "--channel", str(workdir / "channels.chn"),
                      "--source", "ghost", "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == "error: no source 'ghost' in channel set\n"
 
 
 class TestAcquireTrack:
@@ -606,6 +616,8 @@ class TestStrictSchema:
         ("prs", ("sources", 0), "resource_repetition", 11,
          "resource_repetition's last slot falls past the set period"),
         ("prs", ("sources", 0), "muting_pattern", [2], "muting_pattern entries must be 0 or 1"),
+        ("prs", ("sources", 0), "muting_pattern", [],
+         "muting_pattern entries must be 0 or 1, and one or more"),
         ("spec", ("sources", 0, "paths", 0), "mean_power_db", float("inf"),
          "source sat1 path 0: mean_power_db must be finite"),
         # 10**400 overflows a float: the same error and exit code, not a traceback

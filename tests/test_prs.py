@@ -65,7 +65,8 @@ def schedules(draw):
         resource_offset_slots=draw(st.integers(0, period - 1)),
         resource_time_gap_slots=gap,
         resource_repetition=draw(st.integers(1, (period - 1) // gap + 1)),
-        muting_pattern=draw(st.none() | st.lists(st.integers(0, 1), max_size=8).map(tuple)))
+        muting_pattern=draw(st.none() | st.lists(st.integers(0, 1), min_size=1, max_size=8)
+                            .map(tuple)))
 
 
 class TestScrambling:
@@ -216,6 +217,9 @@ class TestPrsMapping:
          "resource_repetition's last slot falls past the set period"),
         ({"muting_pattern": (2,)}, "muting_pattern entries must be 0 or 1"),  # read as "on"
         ({"muting_pattern": (1, 0, -1)}, "muting_pattern entries must be 0 or 1"),
+        # an empty pattern would read as "no muting", which is null's meaning
+        ({"muting_pattern": ()}, "muting_pattern entries must be 0 or 1, and one or more"),
+        ({"muting_pattern": []}, "muting_pattern entries must be 0 or 1, and one or more"),
     ])
     def test_rejects_input_it_would_misread(self, fields, message):
         with pytest.raises(ValueError, match=message):
